@@ -37,8 +37,8 @@ from .hyper import (
     write_weights,
 )
 from .integrator import Trajectory, integrate, read_trajectory, write_trajectory
-from .kernels import gen_eig_diag_mass, thin_svd
-from .models import build_string_model, read_model, write_model
+from .kernels import max_gen_eigenvalue, thin_svd
+from .models import build_string_model, read_json, read_model, write_model
 from .reduction import (
     galerkin_reduce,
     modal_basis,
@@ -132,11 +132,7 @@ def _coerce(name, value, kind):
 
 
 def _load_config(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: config must be a JSON object")
     return doc
@@ -208,7 +204,7 @@ def cmd_build(ns):
         a2=opts["a2"],
     )
     write_model(model, opts["output"])
-    mu_max = float(gen_eig_diag_mass(model.stiffness, model.mass).values[-1])
+    mu_max = max_gen_eigenvalue(model.stiffness, model.mass)
     _emit(
         ns,
         {"path": opts["output"], "m": model.m, "mu_max": mu_max},

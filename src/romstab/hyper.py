@@ -7,24 +7,40 @@ explicit is what makes sampled evaluation cheap and is validated here
 against the matrix structure.
 
 DEIM/GNAT replace plain row selection by an oblique projection built
-from a force basis.  ECSW instead re-weights element force
-contributions with sparse nonnegative weights trained on snapshots; it
-preserves symmetry, which the interpolation methods generally do not.
+from a force basis (DEIM is GNAT with one sample row per force-basis
+column).  ECSW instead re-weights element force contributions with
+sparse nonnegative weights trained on snapshots; it preserves symmetry,
+which the interpolation methods generally do not.
+
+Two model types come out.  Projected collocation, DEIM, GNAT and ECSW
+give a square :class:`~romstab.reduction.ReducedModel`, stepped by plain
+central differences.  Naive collocation gives a :class:`SampledModel`
+with rectangular ``p x k`` sampled rows; :func:`hrom_step` is its update
+rule and :func:`sampled_step_matrix` the one-step matrix its stable step
+comes from.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import FormatError, RankDeficiencyError
 from .kernels import pseudoinverse, sparse_nnls
-from .reduction import MASS_ORTHONORMAL, ReducedModel
+from .models import ForceTable, read_json, write_json
+from .reduction import (
+    MASS_ORTHONORMAL,
+    ReducedBasis,
+    ReducedModel,
+    galerkin_mass,
+    reduced_load_table,
+)
 
 __all__ = [
     "SampleSet",
+    "SampledModel",
     "EcswWeights",
     "deim_points",
     "collocate_naive",
@@ -186,7 +202,8 @@ def deim_points(force_basis):
 
 
 def _sampled_blocks(model, basis, samples):
-    """Common masked row extraction for the collocation variants."""
+    """Sampled rows ``P.T V``, ``P.T C V`` and ``P.T K V``, the latter two
+    read through the declared reaches only."""
     _check_reach(model, samples)
     v = basis.matrix
     if basis.m != model.m:
@@ -194,18 +211,74 @@ def _sampled_blocks(model, basis, samples):
     rows = np.asarray(samples.collocation, dtype=int)
     dr = np.asarray(samples.damping_reach, dtype=int)
     zr = np.asarray(samples.stiffness_reach, dtype=int)
-    row_basis = v[rows]
     damping_rows = model.damping[np.ix_(rows, dr)] @ v[dr]
     stiffness_rows = model.stiffness[np.ix_(rows, zr)] @ v[zr]
-    return rows, row_basis, damping_rows, stiffness_rows
+    return rows, v[rows], damping_rows, stiffness_rows
 
 
-def _require_row_rank(row_basis):
-    sv = np.linalg.svd(row_basis, compute_uv=False)
+def _require_full_rank(a, what):
+    """Reject ``a`` when its condition number exceeds 1e12."""
+    sv = np.linalg.svd(a, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0] or sv[0] == 0.0:
+        cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
         raise RankDeficiencyError(
-            "sampled basis rows are rank-deficient; add collocation DoFs"
+            f"{what} is rank-deficient (condition number {cond:.3e})"
         )
+
+
+def _collocation_blocks(model, basis, samples):
+    """Sampled blocks for the collocation variants: at least ``k`` rows of
+    full column rank."""
+    blocks = _sampled_blocks(model, basis, samples)
+    row_basis = blocks[1]
+    if row_basis.shape[0] < basis.k:
+        raise ValueError(
+            f"need at least k={basis.k} collocation DoFs, got {row_basis.shape[0]}"
+        )
+    _require_full_rank(row_basis, "sampled basis block P.T V")
+    return blocks
+
+
+@dataclass
+class SampledModel:
+    """Naive collocation: forces evaluated at ``p`` sampled DoFs only.
+
+    ``damping`` and ``stiffness`` are the ``p x k`` sampled rows of ``C V``
+    and ``K V``, ``row_mass`` the lumped mass at the sampled DoFs and
+    ``row_basis`` the sampled basis rows ``P.T V``; ``load`` is the
+    external load table restricted to the sampled DoFs.  It is stepped by
+    :func:`hrom_step` and its stability follows from
+    :func:`sampled_step_matrix`, not from the square mass solve.
+    """
+
+    provenance = "naive-collocation"
+
+    damping: np.ndarray
+    stiffness: np.ndarray
+    row_mass: np.ndarray
+    row_basis: np.ndarray
+    basis: ReducedBasis
+    samples: SampleSet
+    a1: float = 0.0
+    a2: float = 0.0
+    load: ForceTable | None = None
+
+    @property
+    def mass(self):
+        """Sampled mass rows ``P.T M V`` (``p x k``)."""
+        return self.row_mass[:, None] * self.row_basis
+
+    @property
+    def dim(self):
+        return self.stiffness.shape[1]
+
+    @cached_property
+    def row_basis_pinv(self):
+        return pseudoinverse(self.row_basis)
+
+    # the force at the sampled rows has the same form as a reduced force
+    reduced_load = ReducedModel.reduced_load
+    force_at = ReducedModel.force_at
 
 
 def collocate_naive(model, basis, samples):
@@ -215,29 +288,19 @@ def collocate_naive(model, basis, samples):
     more rows than basis columns the displacement update solves a least
     squares problem each step, see :func:`hrom_step`.
     """
-    rows, row_basis, damping_rows, stiffness_rows = _sampled_blocks(
+    rows, row_basis, damping_rows, stiffness_rows = _collocation_blocks(
         model, basis, samples
     )
-    if len(rows) < basis.k:
-        raise ValueError(
-            f"need at least k={basis.k} collocation DoFs, got {len(rows)}"
-        )
-    _require_row_rank(row_basis)
-    mass_rows = model.mass[rows, None] * row_basis
-    return ReducedModel(
-        mass=mass_rows,
+    return SampledModel(
         damping=damping_rows,
         stiffness=stiffness_rows,
-        provenance="naive-collocation",
-        symmetric=False,
-        basis=basis,
-        a1=model.a1,
-        a2=model.a2,
-        external_force=model.external_force,
-        load_rows=rows,
-        samples=samples,
         row_mass=model.mass[rows],
         row_basis=row_basis,
+        basis=basis,
+        samples=samples,
+        a1=model.a1,
+        a2=model.a2,
+        load=reduced_load_table(model.external_force, rows=rows),
     )
 
 
@@ -248,17 +311,11 @@ def collocate_projected(model, basis, samples):
     positive semi-definite by construction; damping and stiffness are in
     general *not* symmetric because sampling acts from one side only.
     """
-    rows, row_basis, damping_rows, stiffness_rows = _sampled_blocks(
+    rows, row_basis, damping_rows, stiffness_rows = _collocation_blocks(
         model, basis, samples
     )
-    if len(rows) < basis.k:
-        raise ValueError(
-            f"need at least k={basis.k} collocation DoFs, got {len(rows)}"
-        )
-    _require_row_rank(row_basis)
-    mass_r = row_basis.T @ (model.mass[rows, None] * row_basis)
     return ReducedModel(
-        mass=mass_r,
+        mass=row_basis.T @ (model.mass[rows, None] * row_basis),
         damping=row_basis.T @ damping_rows,
         stiffness=row_basis.T @ stiffness_rows,
         provenance="projected-collocation",
@@ -266,38 +323,46 @@ def collocate_projected(model, basis, samples):
         basis=basis,
         a1=model.a1,
         a2=model.a2,
-        external_force=model.external_force,
-        load_rows=rows,
-        load_map=row_basis.T,
+        load=reduced_load_table(model.external_force, row_basis.T, rows),
         samples=samples,
     )
 
 
-def _interpolation_blocks(model, basis, force_basis, rows):
+def _force_basis(model, force_basis):
     u = np.asarray(force_basis, dtype=float)
-    rows = np.asarray(rows, dtype=int)
     if u.ndim != 2 or u.shape[0] != model.m:
         raise ValueError(
             f"force basis shaped {u.shape} does not match model order {model.m}"
         )
-    if len(set(rows.tolist())) != len(rows):
-        raise ValueError("sample rows must be distinct")
-    if np.any(rows < 0) or np.any(rows >= model.m):
-        raise ValueError(f"sample rows must lie in [0, {model.m - 1}]")
-    samples = SampleSet.from_model(model, rows.tolist())
-    dr = np.asarray(samples.damping_reach, dtype=int)
-    zr = np.asarray(samples.stiffness_reach, dtype=int)
-    v = basis.matrix
-    damping_rows = model.damping[np.ix_(rows, dr)] @ v[dr]
-    stiffness_rows = model.stiffness[np.ix_(rows, zr)] @ v[zr]
-    return u, rows, samples, damping_rows, stiffness_rows
+    return u
 
 
-def _galerkin_mass(model, basis):
-    if basis.kind == MASS_ORTHONORMAL:
-        return np.eye(basis.k), True
-    v = basis.matrix
-    return v.T @ (model.mass[:, None] * v), False
+def _interpolation_reduce(model, basis, u, rows, provenance):
+    """Force interpolation ``V.T U pinv(P.T U)`` applied to the sampled rows.
+
+    The rank check rejects a condition number of ``P.T U`` beyond 1e12,
+    so the pseudo-inverse truncates nothing and equals the inverse when
+    ``P.T U`` is square.
+    """
+    samples = SampleSet.from_model(model, rows)
+    rows, _, damping_rows, stiffness_rows = _sampled_blocks(model, basis, samples)
+    ptu = u[rows]
+    _require_full_rank(ptu, "sampled force basis P.T U")
+    left = (basis.matrix.T @ u) @ pseudoinverse(ptu)
+    mass_r, identity = galerkin_mass(model, basis)
+    return ReducedModel(
+        mass=mass_r,
+        damping=left @ damping_rows,
+        stiffness=left @ stiffness_rows,
+        provenance=provenance,
+        symmetric=False,
+        basis=basis,
+        a1=model.a1,
+        a2=model.a2,
+        mass_is_identity=identity,
+        load=reduced_load_table(model.external_force, left, rows),
+        samples=samples,
+    )
 
 
 def deim_reduce(model, basis, force_basis, points):
@@ -308,78 +373,25 @@ def deim_reduce(model, basis, force_basis, points):
     naming it.  The reduced mass stays Galerkin (identity for a
     mass-orthonormal basis) — only the force terms are interpolated.
     """
-    u, rows, samples, damping_rows, stiffness_rows = _interpolation_blocks(
-        model, basis, force_basis, points
-    )
-    if len(rows) != u.shape[1]:
+    u = _force_basis(model, force_basis)
+    if len(points) != u.shape[1]:
         raise ValueError(
             f"DEIM needs one point per force-basis column: "
-            f"{len(rows)} points for {u.shape[1]} columns"
+            f"{len(points)} points for {u.shape[1]} columns"
         )
-    ptu = u[rows]
-    sv = np.linalg.svd(ptu, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0] or sv[0] == 0.0:
-        cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
-        raise RankDeficiencyError(
-            f"interpolation submatrix is numerically singular "
-            f"(condition number {cond:.3e})"
-        )
-    v = basis.matrix
-    # left factor V.T U (P.T U)^-1, computed via a solve on the transpose
-    left = np.linalg.solve(ptu.T, (v.T @ u).T).T
-    mass_r, identity = _galerkin_mass(model, basis)
-    return ReducedModel(
-        mass=mass_r,
-        damping=left @ damping_rows,
-        stiffness=left @ stiffness_rows,
-        provenance="deim",
-        symmetric=False,
-        basis=basis,
-        a1=model.a1,
-        a2=model.a2,
-        mass_is_identity=identity,
-        external_force=model.external_force,
-        load_rows=rows,
-        load_map=left,
-        samples=samples,
-    )
+    return _interpolation_reduce(model, basis, u, points, "deim")
 
 
 def gnat_reduce(model, basis, force_basis, rows):
     """Least-squares variant of force interpolation: more sample rows than
     force-basis columns, gappy reconstruction via the pseudo-inverse."""
-    u, rows, samples, damping_rows, stiffness_rows = _interpolation_blocks(
-        model, basis, force_basis, rows
-    )
+    u = _force_basis(model, force_basis)
     if len(rows) < u.shape[1]:
         raise ValueError(
             f"need at least as many sample rows as force-basis columns: "
             f"{len(rows)} rows for {u.shape[1]} columns"
         )
-    ptu = u[rows]
-    sv = np.linalg.svd(ptu, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0] or sv[0] == 0.0:
-        raise RankDeficiencyError(
-            "sampled force basis is rank-deficient; add sample rows"
-        )
-    v = basis.matrix
-    left = (v.T @ u) @ pseudoinverse(ptu)
-    mass_r, identity = _galerkin_mass(model, basis)
-    return ReducedModel(
-        mass=mass_r,
-        damping=left @ damping_rows,
-        stiffness=left @ stiffness_rows,
-        provenance="gnat",
-        symmetric=False,
-        basis=basis,
-        a1=model.a1,
-        a2=model.a2,
-        mass_is_identity=identity,
-        external_force=model.external_force,
-        load_rows=rows,
-        load_map=left,
-        samples=samples,
-    )
+    return _interpolation_reduce(model, basis, u, rows, "gnat")
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +504,7 @@ def ecsw_reduce(model, weights, basis):
         a1=model.a1,
         a2=model.a2,
         mass_is_identity=True,
-        external_force=model.external_force,
-        load_map=v.T,
+        load=reduced_load_table(model.external_force, v.T),
     )
 
 
@@ -502,69 +513,48 @@ def ecsw_reduce(model, weights, basis):
 # ---------------------------------------------------------------------------
 
 
-def hrom_step(hrom, state, dt, velocity_update="chained"):
+def _require_sampled(model, name):
+    if not isinstance(model, SampledModel):
+        raise TypeError(
+            f"{name} handles naive-collocation models, got {type(model).__name__}"
+        )
+
+
+def hrom_step(hrom, state, dt):
     """One explicit step of a naive-collocation model.
 
-    Accelerations are formed at the sampled rows only and the sampled
-    displacement rows are advanced; the reduced displacement update then
-    solves ``(P.T V) x_new = (P.T V) x + dt * v_rows`` (least squares when
-    there are more rows than basis columns).
-
-    ``velocity_update`` selects what happens to velocities:
-
-    * ``"chained"`` (default): the sampled-row velocities persist across
-      steps (``state.row_v_half``) and the reduced half-step velocity is
-      recovered from the displacement difference.
-    * ``"least-squares"``: the reduced half-step velocity is re-fit from
-      the updated row velocities each step and rows are re-projected from
-      it; nothing extra persists.
-
-    The two coincide when the number of sampled rows equals the basis
-    size.
+    Accelerations are formed at the sampled rows only, and the sampled-row
+    velocities advance and persist across steps (``state.row_v_half``).
+    The reduced displacement update then solves
+    ``(P.T V) x_new = (P.T V) x + dt * v_rows`` (least squares when there
+    are more rows than basis columns), and the reduced half-step velocity
+    is recovered from the displacement difference.
     """
-    if hrom.provenance != "naive-collocation":
-        raise TypeError(
-            f"hrom_step handles naive-collocation models, got {hrom.provenance!r}"
-        )
-    if velocity_update not in ("chained", "least-squares"):
-        raise ValueError(f"unknown velocity_update {velocity_update!r}")
-    row_basis = hrom.row_basis
-    force_rows = hrom.force_at(state.x, state.v_half, state.t)
-    accel_rows = force_rows / hrom.row_mass
+    _require_sampled(hrom, "hrom_step")
+    accel_rows = hrom.force_at(state.x, state.v_half, state.t) / hrom.row_mass
     v_rows = state.row_v_half
-    if v_rows is None or velocity_update == "least-squares":
-        v_rows = row_basis @ state.v_half
+    if v_rows is None:
+        v_rows = hrom.row_basis @ state.v_half
     v_rows = v_rows + dt * accel_rows
-    if velocity_update == "chained":
-        x_new = hrom.row_basis_pinv @ (row_basis @ state.x + dt * v_rows)
-        v_half_new = (x_new - state.x) / dt
-        carry = v_rows
-    else:
-        v_half_new = hrom.row_basis_pinv @ v_rows
-        x_new = state.x + dt * v_half_new
-        carry = None
+    x_new = hrom.row_basis_pinv @ (hrom.row_basis @ state.x + dt * v_rows)
     return replace(
         state,
         x=x_new,
-        v_half=v_half_new,
+        v_half=(x_new - state.x) / dt,
         t=state.t + dt,
         n=state.n + 1,
-        row_v_half=carry,
+        row_v_half=v_rows,
     )
 
 
 def sampled_step_matrix(hrom, dt):
-    """Exact one-step matrix of the chained sampled update (zero load).
+    """Exact one-step matrix of :func:`hrom_step` (zero load).
 
     State layout ``[reduced displacements (k), sampled row velocities (p)]``;
-    after the first step the chained update is linear in that state, so
-    its spectral radius governs stability of :func:`hrom_step`.
+    after the first step the update is linear in that state, so its
+    spectral radius governs stability of :func:`hrom_step`.
     """
-    if hrom.provenance != "naive-collocation":
-        raise TypeError(
-            f"sampled_step_matrix handles naive-collocation models, "
-            f"got {hrom.provenance!r}"
-        )
+    _require_sampled(hrom, "sampled_step_matrix")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     k = hrom.dim
@@ -616,18 +606,11 @@ def sample_set_from_dict(doc):
 
 
 def write_sample_set(samples, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sample_set_to_dict(samples), fh, indent=1)
-        fh.write("\n")
+    write_json(sample_set_to_dict(samples), path)
 
 
 def read_sample_set(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    return sample_set_from_dict(doc)
+    return sample_set_from_dict(read_json(path))
 
 
 def weights_to_dict(weights):
@@ -658,15 +641,8 @@ def weights_from_dict(doc):
 
 
 def write_weights(weights, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(weights_to_dict(weights), fh, indent=1)
-        fh.write("\n")
+    write_json(weights_to_dict(weights), path)
 
 
 def read_weights(weights_path):
-    try:
-        with open(weights_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{weights_path}: not valid JSON ({exc})") from exc
-    return weights_from_dict(doc)
+    return weights_from_dict(read_json(weights_path))

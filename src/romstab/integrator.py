@@ -6,11 +6,13 @@ velocities at ``n - 1/2``; velocities then advance to ``n + 1/2`` and
 displacements to ``n + 1``.  On the very first step the initial velocity
 stands in for the half-step history.
 
-Any object providing ``dim``, ``mass_inverse_apply(f)`` and
-``force_at(x, v_half, t)`` can be stepped — full-order models and
-projection-reduced models alike.  Sampled (collocation) reduced models
-carry their own update rule and are dispatched to it by
-:func:`integrate`.
+:func:`cd_step` steps any object providing ``dim``,
+``mass_inverse_apply(f)`` and ``force_at(x, v_half, t)``: a
+:class:`~romstab.models.FullOrderModel` or a square
+:class:`~romstab.reduction.ReducedModel`.  A naive-collocation
+:class:`~romstab.hyper.SampledModel` has rectangular sampled rows and no
+square mass to solve with; :func:`integrate` steps it by its own rule,
+:func:`~romstab.hyper.hrom_step`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FormatError
+from .hyper import SampledModel, hrom_step
 from .kernels import spectral_radius
 
 __all__ = [
@@ -41,8 +44,8 @@ class IntegratorState:
 
     ``v_half`` holds the staggered velocity at ``t - dt/2`` (the initial
     velocity before the first step).  ``row_v_half`` is only populated by
-    the sampled collocation stepper, which chains velocities at its
-    sampled rows; everyone else leaves it ``None``.
+    :func:`~romstab.hyper.hrom_step`, which chains velocities at its
+    sampled rows; :func:`cd_step` leaves it ``None``.
     """
 
     x: np.ndarray
@@ -116,12 +119,7 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
             f"model dimension {model.dim}"
         )
 
-    stepper = cd_step
-    if getattr(model, "provenance", None) == "naive-collocation":
-        from .hyper import hrom_step
-
-        stepper = hrom_step
-
+    stepper = hrom_step if isinstance(model, SampledModel) else cd_step
     state = IntegratorState.initial(x0, v0)
     limit = blowup * max(1.0, float(np.linalg.norm(x0)))
     times = [state.t]

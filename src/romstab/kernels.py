@@ -31,6 +31,7 @@ __all__ = [
     "require_positive_diagonal",
     "sym_eig",
     "gen_eig_diag_mass",
+    "max_gen_eigenvalue",
     "thin_svd",
     "m_orthonormalize",
     "pseudoinverse",
@@ -127,6 +128,20 @@ def sym_eig(a):
     return EigenPairs(values, vectors)
 
 
+def _mass_normalized(stiffness, mass):
+    # The symmetric similarity M**-1/2 K M**-1/2 of inv(M) K.
+    stiffness = require_symmetric(stiffness, "stiffness")
+    mass = require_positive_diagonal(mass, "mass")
+    if mass.shape[0] != stiffness.shape[0]:
+        raise ValueError(
+            f"order mismatch: stiffness {stiffness.shape[0]}, mass {mass.shape[0]}"
+        )
+    inv_sqrt = 1.0 / np.sqrt(mass)
+    # np.outer(s, s) is exactly symmetric (IEEE multiplication commutes),
+    # so the elementwise product with an exactly symmetric K is too.
+    return stiffness * np.outer(inv_sqrt, inv_sqrt)
+
+
 def gen_eig_diag_mass(stiffness, mass):
     """Eigenvalues of ``inv(M) K`` for diagonal positive ``M``, symmetric ``K``.
 
@@ -146,17 +161,17 @@ def gen_eig_diag_mass(stiffness, mass):
         divide rows by ``sqrt(mass)`` to obtain mass-orthonormal
         eigenvectors of ``inv(M) K`` itself.
     """
-    stiffness = require_symmetric(stiffness, "stiffness")
-    mass = require_positive_diagonal(mass, "mass")
-    if mass.shape[0] != stiffness.shape[0]:
-        raise ValueError(
-            f"order mismatch: stiffness {stiffness.shape[0]}, mass {mass.shape[0]}"
-        )
-    inv_sqrt = 1.0 / np.sqrt(mass)
-    # np.outer(s, s) is exactly symmetric (IEEE multiplication commutes),
-    # so the elementwise product with an exactly symmetric K is too.
-    sym_form = stiffness * np.outer(inv_sqrt, inv_sqrt)
-    return sym_eig(sym_form)
+    return sym_eig(_mass_normalized(stiffness, mass))
+
+
+def max_gen_eigenvalue(stiffness, mass):
+    """Largest eigenvalue of ``inv(M) K``, as :func:`gen_eig_diag_mass` but
+    without computing eigenvectors."""
+    try:
+        values = np.linalg.eigvalsh(_mass_normalized(stiffness, mass))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolve did not converge: {exc}") from exc
+    return float(values[-1])
 
 
 def thin_svd(snapshots):

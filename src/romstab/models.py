@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FormatError
 from .kernels import (
-    gen_eig_diag_mass,
+    max_gen_eigenvalue,
     require_positive_diagonal,
     require_symmetric,
 )
@@ -31,7 +31,6 @@ __all__ = [
     "FullOrderModel",
     "assemble",
     "build_string_model",
-    "damping_matrix",
     "model_to_dict",
     "model_from_dict",
     "write_model",
@@ -129,7 +128,7 @@ class ElementBlock:
 
     def max_eigenvalue(self):
         """Largest eigenvalue of the local ``inv(Me) Ke`` pencil."""
-        return float(gen_eig_diag_mass(self.stiffness, self.mass).values[-1])
+        return max_gen_eigenvalue(self.stiffness, self.mass)
 
 
 def assemble(elements, m):
@@ -233,11 +232,6 @@ class FullOrderModel:
         return f
 
 
-def damping_matrix(model):
-    """The model's Rayleigh damping matrix ``a1 * M + a2 * K``."""
-    return model.damping
-
-
 def build_string_model(
     m,
     element_mass,
@@ -310,6 +304,22 @@ def build_string_model(
 _MODEL_KEYS = {"m", "mass", "stiffness_coo", "a1", "a2", "elements", "external_force"}
 _ELEMENT_KEYS = {"dofs", "Ke", "Me", "length", "wave_speed"}
 _FORCE_KEYS = {"times", "values"}
+
+
+def read_json(path):
+    """Parse a JSON file; invalid JSON raises :class:`FormatError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def write_json(doc, path):
+    """Write a plain-data document as one-space-indented JSON plus a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def _require_keys(mapping, allowed, required, what):
@@ -451,9 +461,7 @@ def model_from_dict(doc):
 
 def write_model(model, path):
     """Write a model as JSON (schema documented with :func:`read_model`)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
-        fh.write("\n")
+    write_json(model_to_dict(model), path)
 
 
 def read_model(path):
@@ -476,9 +484,4 @@ def read_model(path):
     Off-diagonal COO entries are mirrored; duplicate (i, j) pairs are a
     format error, as is anything violating the model invariants.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path))

@@ -4,6 +4,12 @@ Snapshot data is handled as plain ``(m, n_snapshots)`` arrays, one
 snapshot per column; :func:`snapshots_from_trajectory` turns a recorded
 trajectory into that layout.
 
+:class:`ReducedModel` is the square ``k x k`` model that every projected
+reduction yields (Galerkin here; ECSW, projected collocation, DEIM and
+GNAT in :mod:`romstab.hyper`).  It is stepped by plain central
+differences.  Naive collocation keeps rectangular sampled rows and has
+its own type and update rule, :class:`romstab.hyper.SampledModel`.
+
 Two basis flavors exist.  A *plain-orthonormal* basis satisfies
 ``V.T V = I``; a *mass-orthonormal* one satisfies ``V.T M V = I`` for the
 model's lumped mass, which makes the reduced mass matrix the identity
@@ -12,9 +18,7 @@ and is the flavor the stability results are stated for.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -22,11 +26,10 @@ from .errors import FormatError, RankDeficiencyError
 from .kernels import (
     gen_eig_diag_mass,
     m_orthonormalize,
-    pseudoinverse,
     require_positive_diagonal,
     thin_svd,
 )
-from .models import ForceTable
+from .models import ForceTable, read_json, write_json
 
 __all__ = [
     "PLAIN_ORTHONORMAL",
@@ -50,7 +53,6 @@ MASS_ORTHONORMAL = "mass-orthonormal"
 
 PROVENANCES = (
     "galerkin",
-    "naive-collocation",
     "projected-collocation",
     "deim",
     "gnat",
@@ -172,18 +174,13 @@ def modal_basis(model, modes):
 
 @dataclass
 class ReducedModel:
-    """Projected (and possibly sampled) second-order model.
-
-    ``mass``, ``damping`` and ``stiffness`` are ``k x k`` for projected
-    provenances; the naive collocation variant stores ``p x k`` blocks
-    (one row per sampled DoF) and is stepped by the sampled update rule
-    instead of the plain central-difference one.
+    """Square ``k x k`` projected second-order model.
 
     ``symmetric`` declares that damping and stiffness are symmetric up to
     round-off (Galerkin and ECSW); the flag is validated at construction.
-    External load handling: ``reduced_load(t)`` evaluates the full-order
-    force table at ``t``, restricts it to ``load_rows`` (when set) and
-    applies ``load_map`` (when set).
+    ``load`` is the external load table already mapped to reduced
+    coordinates (one column per basis vector), so ``reduced_load(t)`` is
+    a single table lookup.
     """
 
     mass: np.ndarray
@@ -195,12 +192,8 @@ class ReducedModel:
     a1: float = 0.0
     a2: float = 0.0
     mass_is_identity: bool = False
-    external_force: ForceTable | None = None
-    load_rows: np.ndarray | None = None
-    load_map: np.ndarray | None = None
+    load: ForceTable | None = None
     samples: object | None = None
-    row_mass: np.ndarray | None = None
-    row_basis: np.ndarray | None = None
 
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
@@ -238,31 +231,14 @@ class ReducedModel:
     def dim(self):
         return self.stiffness.shape[1]
 
-    @cached_property
-    def row_basis_pinv(self):
-        if self.row_basis is None:
-            raise ValueError("model carries no sampled basis rows")
-        return pseudoinverse(self.row_basis)
-
     def reduced_load(self, t):
-        rows = self.stiffness.shape[0]
-        if self.external_force is None:
-            return np.zeros(rows)
-        f = self.external_force.at(t)
-        if self.load_rows is not None:
-            f = f[self.load_rows]
-        if self.load_map is not None:
-            f = self.load_map @ f
-        return f
+        if self.load is None:
+            return np.zeros(self.stiffness.shape[0])
+        return self.load.at(t)
 
     # -- interface consumed by the time integrator ------------------------
 
     def mass_inverse_apply(self, f):
-        if self.provenance == "naive-collocation":
-            raise TypeError(
-                "naive-collocation models are stepped by hrom_step, not by "
-                "the square mass solve"
-            )
         if self.mass_is_identity:
             return np.array(f, dtype=float)
         try:
@@ -275,6 +251,28 @@ class ReducedModel:
 
     def force_at(self, x, v_half, t):
         return self.reduced_load(t) - self.damping @ v_half - self.stiffness @ x
+
+
+def reduced_load_table(force, left=None, rows=None):
+    """A load table restricted to DoFs ``rows`` and then mapped by ``left``.
+
+    Either step is skipped when its argument is ``None``; a missing table
+    stays ``None``.  Interpolation in time commutes with both steps, so
+    the reduced table gives the reduced load at every ``t``.
+    """
+    if force is None:
+        return None
+    values = force.values if rows is None else force.values[:, rows]
+    return ForceTable(force.times, values if left is None else values @ left.T)
+
+
+def galerkin_mass(model, basis):
+    """Reduced mass ``V.T M V`` and whether it is stored as the exact identity
+    (a mass-orthonormal basis)."""
+    if basis.kind == MASS_ORTHONORMAL:
+        return np.eye(basis.k), True
+    v = basis.matrix
+    return v.T @ (model.mass[:, None] * v), False
 
 
 def galerkin_reduce(model, basis):
@@ -290,27 +288,18 @@ def galerkin_reduce(model, basis):
         raise ValueError(
             f"basis has {basis.m} rows for a model of order {model.m}"
         )
-    k = basis.k
-    if basis.kind == MASS_ORTHONORMAL:
-        mass_r = np.eye(k)
-        identity = True
-    else:
-        mass_r = v.T @ (model.mass[:, None] * v)
-        identity = False
-    damping_r = v.T @ (model.damping @ v)
-    stiffness_r = v.T @ (model.stiffness @ v)
+    mass_r, identity = galerkin_mass(model, basis)
     return ReducedModel(
         mass=mass_r,
-        damping=damping_r,
-        stiffness=stiffness_r,
+        damping=v.T @ (model.damping @ v),
+        stiffness=v.T @ (model.stiffness @ v),
         provenance="galerkin",
         symmetric=True,
         basis=basis,
         a1=model.a1,
         a2=model.a2,
         mass_is_identity=identity,
-        external_force=model.external_force,
-        load_map=v.T,
+        load=reduced_load_table(model.external_force, v.T),
     )
 
 
@@ -387,15 +376,8 @@ def basis_from_dict(doc, mass=None):
 
 
 def write_basis(basis, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(basis_to_dict(basis), fh, indent=1)
-        fh.write("\n")
+    write_json(basis_to_dict(basis), path)
 
 
 def read_basis(path, mass=None):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    return basis_from_dict(doc, mass=mass)
+    return basis_from_dict(read_json(path), mass=mass)

@@ -14,7 +14,7 @@ overflow nor lose the limits.
 Model-level reports take the largest eigenvalue of ``inv(M) K``
 (directly, from element bounds, or from weighted-element bounds) and
 apply the modal formula; reduced models with nonsymmetric operators fall
-back to bisection on the amplification spectral radius.
+back to bisection on the spectral radius of their one-step matrix.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hyper import SampledModel, sampled_step_matrix
 from .integrator import amplification_matrix
-from .kernels import gen_eig_diag_mass, spectral_radius, symmetrize
+from .kernels import max_gen_eigenvalue, spectral_radius, symmetrize
 from .models import FullOrderModel
 from .reduction import MASS_ORTHONORMAL, ReducedModel
 
@@ -120,12 +121,21 @@ def critical_dt_at_frequency(x, a1, a2):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def _edge_report(a1, model_kind, method):
-    # All modes have zero frequency: only mass-proportional damping limits
-    # the step.
-    dt = 2.0 / a1 if a1 > 0.0 else math.inf
+def _modal_report(mu_max, a1, a2, method, model_kind):
+    """Report for the largest squared frequency ``mu_max`` (nonnegative)."""
+    if mu_max == 0.0:
+        # All modes have zero frequency: only mass-proportional damping
+        # limits the step.
+        dt = 2.0 / a1 if a1 > 0.0 else math.inf
+        return StabilityReport(
+            mu_max=0.0, xi=0.0, dt_crit=dt, method=method, model_kind=model_kind
+        )
     return StabilityReport(
-        mu_max=0.0, xi=0.0, dt_crit=dt, method=method, model_kind=model_kind
+        mu_max=float(mu_max),
+        xi=damping_ratio(mu_max, a1, a2),
+        dt_crit=critical_dt_at_frequency(math.sqrt(mu_max), a1, a2),
+        method=method,
+        model_kind=model_kind,
     )
 
 
@@ -133,16 +143,7 @@ def critical_dt_system(mu_max, a1, a2, model_kind="fom"):
     """Report for a system whose largest squared frequency is ``mu_max``."""
     if mu_max < 0.0:
         raise ValueError(f"mu_max must be nonnegative, got {mu_max}")
-    if mu_max == 0.0:
-        return _edge_report(a1, model_kind, "modal-exact")
-    xi = damping_ratio(mu_max, a1, a2)
-    return StabilityReport(
-        mu_max=float(mu_max),
-        xi=xi,
-        dt_crit=critical_dt_at_frequency(math.sqrt(mu_max), a1, a2),
-        method="modal-exact",
-        model_kind=model_kind,
-    )
+    return _modal_report(mu_max, a1, a2, "modal-exact", model_kind)
 
 
 def element_dt_bound(elements, a1, a2, weights=None, model_kind=None):
@@ -177,15 +178,7 @@ def element_dt_bound(elements, a1, a2, weights=None, model_kind=None):
         if w == 0.0:
             continue
         mu_bound = max(mu_bound, w * element.max_eigenvalue())
-    if mu_bound == 0.0:
-        return _edge_report(a1, kind, method)
-    return StabilityReport(
-        mu_max=float(mu_bound),
-        xi=damping_ratio(mu_bound, a1, a2),
-        dt_crit=critical_dt_at_frequency(math.sqrt(mu_bound), a1, a2),
-        method=method,
-        model_kind=kind,
-    )
+    return _modal_report(mu_bound, a1, a2, method, kind)
 
 
 @dataclass(frozen=True)
@@ -240,7 +233,7 @@ def verify_rom_dt_dominance(model, basis):
         raise ValueError("dominance check requires a mass-orthonormal basis")
     if basis.m != model.m:
         raise ValueError(f"basis has {basis.m} rows for model order {model.m}")
-    mu_fom = float(gen_eig_diag_mass(model.stiffness, model.mass).values[-1])
+    mu_fom = max_gen_eigenvalue(model.stiffness, model.mass)
     v = basis.matrix
     reduced = symmetrize(v.T @ (model.stiffness @ v))
     mu_rom = float(np.linalg.eigvalsh(reduced)[-1])
@@ -291,44 +284,38 @@ def _bisect_critical_dt(radius_at, guess):
 
 
 def critical_dt_report(model):
-    """Critical-step report for a full-order or reduced model.
+    """Critical-step report for a full-order, reduced or sampled model.
 
     Full-order models and symmetric reduced models (Galerkin, ECSW) get
     the exact modal treatment.  Nonsymmetric reduced operators (DEIM,
-    GNAT, collocation) have no modal decomposition; their report comes
-    from bisection on the spectral radius of the one-step transfer matrix
-    and is tagged ``amplification-bisection``.
+    GNAT, projected collocation) have no modal decomposition; their
+    report comes from bisection on the spectral radius of the one-step
+    transfer matrix and is tagged ``amplification-bisection``, as is the
+    report for a naive-collocation :class:`SampledModel`, whose one-step
+    matrix is :func:`sampled_step_matrix`.
     """
     if isinstance(model, FullOrderModel):
-        mu_max = float(gen_eig_diag_mass(model.stiffness, model.mass).values[-1])
+        mu_max = max_gen_eigenvalue(model.stiffness, model.mass)
         return critical_dt_system(mu_max, model.a1, model.a2, model_kind="fom")
-    if not isinstance(model, ReducedModel):
+    if not isinstance(model, (ReducedModel, SampledModel)):
         raise TypeError(f"cannot report on {type(model).__name__}")
-
     kind = "rom" if model.provenance == "galerkin" else "hrom"
-    if model.symmetric:
-        if model.mass_is_identity:
-            mu_max = float(
-                np.linalg.eigvalsh(symmetrize(model.stiffness))[-1]
-            )
-        else:
-            mu_max = _generalized_mu_max(model.stiffness, model.mass)
-        return critical_dt_system(
-            max(mu_max, 0.0), model.a1, model.a2, model_kind=kind
-        )
-
-    if model.provenance == "naive-collocation":
-        from .hyper import sampled_step_matrix
+    if isinstance(model, SampledModel):
 
         def radius_at(dt):
             return spectral_radius(sampled_step_matrix(model, dt))
 
         # Guess from the dominant magnitude of the square effective
         # operator pinv(P V) diag(1/m_rows) Kr.
-        effective = model.row_basis_pinv @ (
-            model.stiffness / model.row_mass[:, None]
+        operator = model.row_basis_pinv @ (model.stiffness / model.row_mass[:, None])
+    elif model.symmetric:
+        if model.mass_is_identity:
+            mu_max = float(np.linalg.eigvalsh(symmetrize(model.stiffness))[-1])
+        else:
+            mu_max = _generalized_mu_max(model.stiffness, model.mass)
+        return critical_dt_system(
+            max(mu_max, 0.0), model.a1, model.a2, model_kind=kind
         )
-        mu_guess = spectral_radius(effective).radius
     else:
 
         def radius_at(dt):
@@ -340,14 +327,13 @@ def critical_dt_report(model):
             operator = model.stiffness
         else:
             operator = np.linalg.solve(model.mass, model.stiffness)
-        mu_guess = spectral_radius(operator).radius
 
+    mu_guess = spectral_radius(operator).radius
     guess = 2.0 / math.sqrt(mu_guess) if mu_guess > 0.0 else 1.0
     dt = _bisect_critical_dt(radius_at, guess)
-    mu_report = mu_guess
-    xi = damping_ratio(mu_report, model.a1, model.a2) if mu_report > 0.0 else 0.0
+    xi = damping_ratio(mu_guess, model.a1, model.a2) if mu_guess > 0.0 else 0.0
     return StabilityReport(
-        mu_max=float(mu_report),
+        mu_max=float(mu_guess),
         xi=float(xi),
         dt_crit=float(dt),
         method="amplification-bisection",

@@ -9,6 +9,7 @@ import pytest
 from romstab import (
     EcswWeights,
     ElementBlock,
+    ForceTable,
     FormatError,
     FullOrderModel,
     IntegratorState,
@@ -26,6 +27,7 @@ from romstab import (
     ecsw_train,
     ecsw_training_system,
     ecsw_weighted_operator,
+    galerkin_reduce,
     gnat_reduce,
     hrom_step,
     integrate,
@@ -398,6 +400,69 @@ class TestEcswReduce:
             ecsw_reduce(model, np.ones(2), basis)
 
 
+class TestReducedLoad:
+    """Every reduction carries the external load in its own coordinates."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(97)
+        m = 10
+        string = _string(m, a1=0.1, a2=0.01)
+        times = np.array([0.0, 0.5, 2.0])
+        values = rng.standard_normal((3, m))
+        model = FullOrderModel(
+            m=m, mass=string.mass, stiffness=string.stiffness, a1=string.a1,
+            a2=string.a2, elements=string.elements,
+            external_force=ForceTable(times, values),
+        )
+        t = 0.8
+        w = (t - times[1]) / (times[2] - times[1])
+        f = (1.0 - w) * values[1] + w * values[2]
+
+        basis = modal_basis(model, [0, 1, 2])
+        v = basis.matrix
+        u, _ = np.linalg.qr(rng.standard_normal((m, 3)))
+        coll_rows = [0, 3, 5, 8]
+        deim_rows = deim_points(u).tolist()
+        gnat_rows = deim_rows + [1, 6]
+
+        def select(rows):
+            p = np.zeros((len(rows), m))
+            p[np.arange(len(rows)), rows] = 1.0
+            return p
+
+        pc, pd, pg = select(coll_rows), select(deim_rows), select(gnat_rows)
+        samples = SampleSet.from_model(model, coll_rows)
+        left_deim = v.T @ u @ np.linalg.inv(pd @ u)
+        left_gnat = v.T @ u @ np.linalg.pinv(pg @ u)
+        cases = {
+            "galerkin": (galerkin_reduce(model, basis), v.T @ f),
+            "ecsw": (ecsw_reduce(model, rng.uniform(0.5, 2.0, m - 1), basis),
+                     v.T @ f),
+            "projected-collocation": (collocate_projected(model, basis, samples),
+                                      (pc @ v).T @ (pc @ f)),
+            "deim": (deim_reduce(model, basis, u, deim_rows),
+                     left_deim @ (pd @ f)),
+            "gnat": (gnat_reduce(model, basis, u, gnat_rows),
+                     left_gnat @ (pg @ f)),
+            "naive-collocation": (collocate_naive(model, basis, samples), pc @ f),
+        }
+        return cases, t
+
+    @pytest.mark.parametrize("provenance", [
+        "galerkin", "ecsw", "projected-collocation", "deim", "gnat",
+        "naive-collocation",
+    ])
+    def test_load_between_stations_matches_dense_oracle(self, provenance):
+        cases, t = self._cases()
+        rom, expected = cases[provenance]
+        assert rom.provenance == provenance
+        zero = np.zeros(rom.dim)
+        got = rom.force_at(zero, zero, t)
+        assert got.shape == expected.shape
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 class TestEcswWeightsRecord:
     def test_support_must_match_positive_entries(self):
         with pytest.raises(ValueError):
@@ -408,7 +473,7 @@ class TestEcswWeightsRecord:
             EcswWeights(xi=np.array([-0.1, 1.0]), support=(0, 1), residual=0.0)
 
 
-def _reference_naive_steps(hrom, x0, v0, dt, n, velocity_update):
+def _reference_naive_steps(hrom, x0, v0, dt, n):
     """Re-derivation of the sampled update with explicit least squares."""
     rb = hrom.row_basis
     x = np.array(x0, dtype=float)
@@ -417,14 +482,9 @@ def _reference_naive_steps(hrom, x0, v0, dt, n, velocity_update):
     for _ in range(n):
         force = -hrom.damping @ v_half - hrom.stiffness @ x
         v_rows = v_rows + dt * (force / hrom.row_mass)
-        if velocity_update == "chained":
-            target = rb @ x + dt * v_rows
-            x_new = np.linalg.lstsq(rb, target, rcond=None)[0]
-            v_half = (x_new - x) / dt
-        else:
-            v_half = np.linalg.lstsq(rb, v_rows, rcond=None)[0]
-            x_new = x + dt * v_half
-            v_rows = rb @ v_half
+        target = rb @ x + dt * v_rows
+        x_new = np.linalg.lstsq(rb, target, rcond=None)[0]
+        v_half = (x_new - x) / dt
         x = x_new
     return x, v_half
 
@@ -436,8 +496,8 @@ class TestHromStep:
         rows = sorted(rng.choice(m, size=p, replace=False).tolist())
         return collocate_naive(model, basis, SampleSet.from_model(model, rows))
 
-    @pytest.mark.parametrize("velocity_update", ["chained", "least-squares"])
-    def test_matches_least_squares_reference(self, velocity_update):
+    @pytest.mark.parametrize("rule", ["chained"])
+    def test_matches_least_squares_reference(self, rule):
         rng = np.random.default_rng(82)
         hrom = self._hrom(rng)
         x0 = rng.standard_normal(2)
@@ -445,23 +505,10 @@ class TestHromStep:
         dt = 0.01
         state = IntegratorState.initial(x0, v0)
         for _ in range(20):
-            state = hrom_step(hrom, state, dt, velocity_update=velocity_update)
-        ref_x, ref_v = _reference_naive_steps(hrom, x0, v0, dt, 20,
-                                              velocity_update)
+            state = hrom_step(hrom, state, dt)
+        ref_x, ref_v = _reference_naive_steps(hrom, x0, v0, dt, 20)
         assert np.abs(state.x - ref_x).max() < 1e-12
         assert np.abs(state.v_half - ref_v).max() < 1e-12
-
-    def test_variants_coincide_for_square_sampling(self):
-        rng = np.random.default_rng(83)
-        hrom = self._hrom(rng, m=7, k=3, p=3)
-        x0 = rng.standard_normal(3)
-        v0 = rng.standard_normal(3)
-        a = IntegratorState.initial(x0, v0)
-        b = IntegratorState.initial(x0, v0)
-        for _ in range(10):
-            a = hrom_step(hrom, a, 0.02, velocity_update="chained")
-            b = hrom_step(hrom, b, 0.02, velocity_update="least-squares")
-        assert np.abs(a.x - b.x).max() < 1e-10
 
     def test_integrate_dispatches_to_sampled_update(self):
         rng = np.random.default_rng(84)
@@ -482,13 +529,6 @@ class TestHromStep:
                                   SampleSet.from_model(model, [0, 2, 4]))
         with pytest.raises(TypeError):
             hrom_step(rom, IntegratorState.initial(np.zeros(2), np.zeros(2)), 0.01)
-
-    def test_unknown_velocity_update_rejected(self):
-        rng = np.random.default_rng(86)
-        hrom = self._hrom(rng)
-        state = IntegratorState.initial(np.zeros(2), np.zeros(2))
-        with pytest.raises(ValueError):
-            hrom_step(hrom, state, 0.01, velocity_update="midpoint")
 
 
 class TestSampledStepMatrix:

@@ -12,7 +12,6 @@ from romstab import (
     FullOrderModel,
     assemble,
     build_string_model,
-    damping_matrix,
     read_model,
     write_model,
 )
@@ -144,7 +143,7 @@ class TestFullOrderModel:
         model = build_string_model(4, element_mass=1.0, element_stiffness=2.0,
                                    length=1.0, boundary_factor=0.0, a1=0.3, a2=0.05)
         expected = 0.05 * model.stiffness + 0.3 * np.diag(model.mass)
-        assert np.abs(damping_matrix(model) - expected).max() < 1e-15
+        assert np.abs(model.damping - expected).max() < 1e-15
 
     def test_rejects_inconsistent_element_scatter(self):
         model = build_string_model(3, element_mass=1.0, element_stiffness=1.0,
