@@ -105,12 +105,13 @@ class SampleSet:
             raise ValueError(
                 f"collocation DoFs must lie in [0, {model.m - 1}], got {coll}"
             )
-        damping_reach = set(coll)
-        stiffness_reach = set(coll)
-        for i in coll:
-            damping_reach.update(np.flatnonzero(model.damping[i] != 0.0).tolist())
-            stiffness_reach.update(np.flatnonzero(model.stiffness[i] != 0.0).tolist())
-        return cls(coll, tuple(sorted(damping_reach)), tuple(sorted(stiffness_reach)))
+        rows = np.asarray(coll, dtype=int)
+
+        def reach(matrix):
+            touched = np.flatnonzero((matrix[rows] != 0.0).any(axis=0))
+            return tuple(np.union1d(rows, touched).tolist())
+
+        return cls(coll, reach(model.damping), reach(model.stiffness))
 
 
 @dataclass(frozen=True)
@@ -143,27 +144,33 @@ class EcswWeights:
 
 
 def _check_reach(model, samples):
-    """A sampled force row must not touch DoFs outside the declared reach."""
-    dr = set(samples.damping_reach)
-    zr = set(samples.stiffness_reach)
+    """A sampled force row must not touch DoFs outside the declared reach.
+
+    The error names the first offending row in collocation order (its
+    damping row before its stiffness row) and the DoFs it touches outside.
+    """
     if samples.collocation and max(samples.collocation) >= model.m:
         raise ValueError(
             f"collocation DoF {max(samples.collocation)} outside model of "
             f"order {model.m}"
         )
-    for i in samples.collocation:
-        touched = set(np.flatnonzero(model.damping[i] != 0.0).tolist())
-        if not touched <= dr:
-            raise ValueError(
-                f"damping row {i} touches DoFs {sorted(touched - dr)} outside "
-                f"the declared damping reach"
-            )
-        touched = set(np.flatnonzero(model.stiffness[i] != 0.0).tolist())
-        if not touched <= zr:
-            raise ValueError(
-                f"stiffness row {i} touches DoFs {sorted(touched - zr)} outside "
-                f"the declared stiffness reach"
-            )
+    rows = np.asarray(samples.collocation, dtype=int)
+    dofs = np.arange(model.m)
+    damping_out = (model.damping[rows] != 0.0) & ~np.isin(dofs, samples.damping_reach)
+    stiffness_out = (model.stiffness[rows] != 0.0) & ~np.isin(
+        dofs, samples.stiffness_reach
+    )
+    bad = np.flatnonzero(damping_out.any(axis=1) | stiffness_out.any(axis=1))
+    if bad.size:
+        r = bad[0]
+        if damping_out[r].any():
+            name, out = "damping", damping_out
+        else:
+            name, out = "stiffness", stiffness_out
+        raise ValueError(
+            f"{name} row {rows[r]} touches DoFs {np.flatnonzero(out[r]).tolist()} "
+            f"outside the declared {name} reach"
+        )
 
 
 def deim_points(force_basis):

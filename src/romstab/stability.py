@@ -15,6 +15,15 @@ Model-level reports take the largest eigenvalue of ``inv(M) K``
 (directly, from element bounds, or from weighted-element bounds) and
 apply the modal formula; reduced models with nonsymmetric operators fall
 back to bisection on the spectral radius of their one-step matrix.
+
+That radius is decoupled whenever the reduced damping is Rayleigh,
+``C_r = a1 M_r + a2 K_r`` (projected collocation always, DEIM and GNAT
+when ``a1 = 0``, naive collocation whenever ``pinv(P.T V) P.T V = I``).
+The characteristic polynomial of the one-step matrix then factors over
+the eigenvalues ``lam`` of ``inv(M_r) K_r`` into the quadratics
+``z^2 - (2 - dt^2 lam - dt c) z + (1 - dt c)``, ``c = a1 + a2 lam``, so
+one ``k x k`` eigensolve serves every bisection step.  Any other reduced
+damping keeps ``eigvals`` of the dense one-step matrix at each step.
 """
 
 from __future__ import annotations
@@ -261,7 +270,7 @@ def _bisect_critical_dt(radius_at, guess):
     """Largest dt with amplification radius at most 1 (up to 1e-9 slack)."""
 
     def unstable(dt):
-        return radius_at(dt).radius > 1.0 + 1e-9
+        return radius_at(dt) > 1.0 + 1e-9
 
     hi = guess
     lo = 0.0
@@ -283,6 +292,81 @@ def _bisect_critical_dt(radius_at, guess):
     return lo
 
 
+def _rayleigh_damped(model):
+    """Whether ``damping == a1 * mass + a2 * stiffness`` (within 1e-10)."""
+    rayleigh = model.a1 * model.mass + model.a2 * model.stiffness
+    scale = float(np.max(np.abs(model.damping)))
+    return bool(np.max(np.abs(model.damping - rayleigh)) <= 1e-10 * scale)
+
+
+def _decoupled_radius(lam, a1, a2, floor):
+    """Spectral radius of the one-step matrix from the eigenvalues ``lam``
+    of ``inv(M_r) K_r``, for Rayleigh damping ``c = a1 + a2 lam``.
+
+    The roots of ``z^2 - (2 - dt q) z + (1 - dt c)``, ``q = dt lam + c``,
+    are ``1 - dt (q -+ sqrt(q^2 - 4 lam)) / 2``; the discriminant in that
+    form has no ``b^2 - 4 c`` cancellation at small ``dt``.  ``floor``
+    bounds the radius below (eigenvalues of the one-step matrix that do
+    not come from ``lam``).
+    """
+    lam = np.asarray(lam, dtype=complex)
+    c = a1 + a2 * lam
+
+    def radius_at(dt):
+        q = dt * lam + c
+        half = 0.5 * dt * np.sqrt(q * q - 4.0 * lam)
+        mid = 1.0 - 0.5 * dt * q
+        top = np.maximum(np.abs(mid + half), np.abs(mid - half))
+        return max(floor, float(np.max(top)))
+
+    return radius_at
+
+
+def _step_radius(model):
+    """``(radius_at, mu_guess, decoupled)`` for a nonsymmetric reduced or
+    sampled model.
+
+    ``radius_at(dt)`` is the spectral radius of the model's one-step
+    matrix; ``mu_guess`` the dominant eigenvalue magnitude of
+    ``inv(M_r) K_r`` (``pinv(P.T V) diag(1/m_rows) K_rows`` for a
+    :class:`SampledModel`); ``decoupled`` tells whether ``radius_at``
+    works from the eigenvalues of that operator (Rayleigh damping) or
+    from the dense one-step matrix.  A sampled model with ``p > k`` rows
+    has ``p - k`` extra one-step eigenvalues equal to 1, so its
+    decoupled radius is at least 1.
+    """
+    if isinstance(model, SampledModel):
+        operator = model.row_basis_pinv @ (model.stiffness / model.row_mass[:, None])
+        k = model.dim
+        identity = model.row_basis_pinv @ model.row_basis
+        can_decouple = np.max(np.abs(identity - np.eye(k))) <= 1e-10
+        floor = 1.0 if model.row_basis.shape[0] > k else 0.0
+
+        def dense_radius(dt):
+            return spectral_radius(sampled_step_matrix(model, dt)).radius
+
+    else:
+        if model.mass_is_identity:
+            operator = model.stiffness
+        else:
+            operator = np.linalg.solve(model.mass, model.stiffness)
+        can_decouple = True
+        floor = 0.0
+
+        def dense_radius(dt):
+            return spectral_radius(
+                amplification_matrix(model.mass, model.damping, model.stiffness, dt)
+            ).radius
+
+    if not (np.all(np.isfinite(operator)) and np.all(np.isfinite(model.damping))):
+        raise ValueError("reduced operators contain non-finite entries")
+    lam = np.linalg.eigvals(operator)
+    mu_guess = float(np.max(np.abs(lam)))
+    if can_decouple and _rayleigh_damped(model):
+        return _decoupled_radius(lam, model.a1, model.a2, floor), mu_guess, True
+    return dense_radius, mu_guess, False
+
+
 def critical_dt_report(model):
     """Critical-step report for a full-order, reduced or sampled model.
 
@@ -293,6 +377,14 @@ def critical_dt_report(model):
     transfer matrix and is tagged ``amplification-bisection``, as is the
     report for a naive-collocation :class:`SampledModel`, whose one-step
     matrix is :func:`sampled_step_matrix`.
+
+    With Rayleigh reduced damping (``max |C_r - a1 M_r - a2 K_r|`` within
+    1e-10 of ``max |C_r|``, and for a sampled model also
+    ``pinv(P.T V) P.T V = I`` within 1e-10) each radius comes from the
+    eigenvalues of ``inv(M_r) K_r``, computed once; otherwise (DEIM and
+    GNAT with ``a1 > 0``, hand-built damping) from ``eigvals`` of the
+    dense one-step matrix.  Both give the same radius; the bisection is
+    the same.  A non-finite operator raises :class:`ValueError`.
     """
     if isinstance(model, FullOrderModel):
         mu_max = max_gen_eigenvalue(model.stiffness, model.mass)
@@ -300,15 +392,7 @@ def critical_dt_report(model):
     if not isinstance(model, (ReducedModel, SampledModel)):
         raise TypeError(f"cannot report on {type(model).__name__}")
     kind = "rom" if model.provenance == "galerkin" else "hrom"
-    if isinstance(model, SampledModel):
-
-        def radius_at(dt):
-            return spectral_radius(sampled_step_matrix(model, dt))
-
-        # Guess from the dominant magnitude of the square effective
-        # operator pinv(P V) diag(1/m_rows) Kr.
-        operator = model.row_basis_pinv @ (model.stiffness / model.row_mass[:, None])
-    elif model.symmetric:
+    if isinstance(model, ReducedModel) and model.symmetric:
         if model.mass_is_identity:
             mu_max = float(np.linalg.eigvalsh(symmetrize(model.stiffness))[-1])
         else:
@@ -316,19 +400,8 @@ def critical_dt_report(model):
         return critical_dt_system(
             max(mu_max, 0.0), model.a1, model.a2, model_kind=kind
         )
-    else:
 
-        def radius_at(dt):
-            return spectral_radius(
-                amplification_matrix(model.mass, model.damping, model.stiffness, dt)
-            )
-
-        if model.mass_is_identity:
-            operator = model.stiffness
-        else:
-            operator = np.linalg.solve(model.mass, model.stiffness)
-
-    mu_guess = spectral_radius(operator).radius
+    radius_at, mu_guess, _ = _step_radius(model)
     guess = 2.0 / math.sqrt(mu_guess) if mu_guess > 0.0 else 1.0
     dt = _bisect_critical_dt(radius_at, guess)
     xi = damping_ratio(mu_guess, model.a1, model.a2) if mu_guess > 0.0 else 0.0

@@ -2,6 +2,7 @@
 interpolation, and weighted-element training."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,42 @@ class TestSampleSet:
         basis = modal_basis(model, [0])
         with pytest.raises(ValueError, match="reach"):
             collocate_projected(model, basis, samples)
+
+
+    def test_from_model_matches_a_row_by_row_scan(self):
+        rng = np.random.default_rng(61)
+        m = 20
+        weights = rng.uniform(1.0, 2.0, (m, m)) * (rng.uniform(size=(m, m)) < 0.15)
+        adjacency = np.triu(weights, 1) + np.triu(weights, 1).T
+        stiffness = np.diag(adjacency.sum(axis=1)) - adjacency  # graph Laplacian
+        model = FullOrderModel(m, np.ones(m), stiffness, a1=0.1, a2=0.01)
+        rows = [7, 3, 15, 0]
+        samples = SampleSet.from_model(model, rows)
+        assert samples.collocation == tuple(rows)
+        for name, matrix in (("damping_reach", model.damping),
+                             ("stiffness_reach", model.stiffness)):
+            expected = set(rows)
+            for i in rows:
+                expected.update(np.flatnonzero(matrix[i]).tolist())
+            reach = getattr(samples, name)
+            assert reach == tuple(sorted(expected))
+            assert all(type(i) is int for i in reach)
+
+    @pytest.mark.parametrize("a1,a2,samples,message", [
+        # rows 5 and 1 both leak; 5 comes first in collocation order
+        (0.0, 0.1, SampleSet((5, 3, 1), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5)),
+         "damping row 5 touches DoFs [6] outside the declared damping reach"),
+        # diagonal damping: only the stiffness row leaks
+        (0.4, 0.0, SampleSet((3, 5), (3, 5), (2, 3, 4, 5)),
+         "stiffness row 5 touches DoFs [6] outside the declared stiffness reach"),
+        (0.4, 0.0, SampleSet((5,), (5,), (5,)),
+         "stiffness row 5 touches DoFs [4, 6] outside the declared stiffness reach"),
+    ])
+    def test_reach_error_names_the_first_leaking_row(self, a1, a2, samples, message):
+        model = _string(8, a1=a1, a2=a2, bf=0.0)  # tridiagonal K
+        basis = modal_basis(model, [0])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            collocate_naive(model, basis, samples)
 
 
 class TestDeimPoints:

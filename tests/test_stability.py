@@ -23,17 +23,23 @@ from romstab import (
     critical_dt_report,
     critical_dt_system,
     damping_ratio,
+    deim_points,
+    deim_reduce,
     ecsw_reduce,
     element_dt_bound,
     galerkin_reduce,
     gen_eig_diag_mass,
+    gnat_reduce,
     m_orthonormalize,
     modal_basis,
     spectral_radius,
     symmetrize,
+    thin_svd,
     verify_rom_dt_dominance,
 )
-from romstab.hyper import sampled_step_matrix
+from romstab.hyper import SampledModel, sampled_step_matrix
+from romstab.reduction import ReducedModel
+from romstab.stability import _bisect_critical_dt, _step_radius
 
 
 def _string(m=5, a1=0.0, a2=0.0, bf=99.0, K=10.0):
@@ -338,6 +344,126 @@ class TestReportDispatch:
     def test_unknown_model_type_rejected(self):
         with pytest.raises(TypeError):
             critical_dt_report("model")
+
+
+def _sampled_reduction(kind, a1=0.0):
+    """A 30-DoF string reduced onto a mixed-mode basis of 4 columns.
+
+    On this seed every reduction below has a real positive spectrum of
+    ``inv(M_r) K_r``, so each has a genuine stable step.
+    """
+    model = _string(30, a1=a1, a2=1e-3)
+    rng = np.random.default_rng(7)
+    modes = modal_basis(model, range(8)).matrix
+    modes = modes * np.sign(modes[0])  # eigenvector signs vary across LAPACKs
+    decay = np.arange(1, 9)[:, None]
+    v = m_orthonormalize(modes @ (rng.standard_normal((8, 4)) / decay), model.mass)
+    basis = ReducedBasis(v, MASS_ORTHONORMAL, mass=model.mass)
+    if kind == "projected":
+        samples = SampleSet.from_model(model, range(0, 30, 2))
+        return collocate_projected(model, basis, samples)
+    if kind == "naive-square":
+        samples = SampleSet.from_model(model, deim_points(v))
+        return collocate_naive(model, basis, samples)
+    if kind == "naive-rect":
+        return collocate_naive(model, basis, SampleSet.from_model(model, range(0, 30, 3)))
+    # Snapshots near the basis span keep the interpolated operator close
+    # to the Galerkin one (a real positive spectrum) without matching it.
+    snapshots = v @ rng.standard_normal((4, 12)) + 0.1 * modes @ rng.standard_normal(
+        (8, 12)
+    )
+    force_basis, _, _ = thin_svd(model.stiffness @ snapshots)
+    rows = deim_points(force_basis[:, :6])
+    if kind == "deim":
+        return deim_reduce(model, basis, force_basis[:, :4], rows[:4])
+    return gnat_reduce(model, basis, force_basis[:, :4], rows)
+
+
+def _dense_radius(model):
+    if isinstance(model, SampledModel):
+        return lambda dt: spectral_radius(sampled_step_matrix(model, dt)).radius
+    return lambda dt: spectral_radius(
+        amplification_matrix(model.mass, model.damping, model.stiffness, dt)
+    ).radius
+
+
+def _dense_dt_crit(model, mu_guess):
+    return _bisect_critical_dt(_dense_radius(model), 2.0 / math.sqrt(mu_guess))
+
+
+DECOUPLED_CASES = [
+    ("projected", 0.0),
+    ("projected", 0.5),
+    ("deim", 0.0),
+    ("gnat", 0.0),
+    ("naive-square", 0.0),
+    ("naive-rect", 0.0),
+    ("naive-rect", 0.5),
+]
+
+
+class TestDecoupledRadius:
+    """Rayleigh-damped reductions take their radius from the eigenvalues
+    of ``inv(M_r) K_r``; the dense one-step matrix is the oracle."""
+
+    @pytest.mark.parametrize("kind,a1", DECOUPLED_CASES)
+    def test_radius_matches_dense_one_step_matrix(self, kind, a1):
+        rom = _sampled_reduction(kind, a1)
+        radius_at, _, decoupled = _step_radius(rom)
+        assert decoupled
+        dense = _dense_radius(rom)
+        dt = critical_dt_report(rom).dt_crit
+        for factor in (0.5, 0.99, 1.01, 2.0):
+            assert radius_at(factor * dt) == pytest.approx(
+                dense(factor * dt), rel=1e-9
+            )
+
+    @pytest.mark.parametrize("kind,a1", DECOUPLED_CASES)
+    def test_dt_crit_matches_dense_bisection(self, kind, a1):
+        rom = _sampled_reduction(kind, a1)
+        _, mu_guess, _ = _step_radius(rom)
+        report = critical_dt_report(rom)
+        assert report.method == "amplification-bisection"
+        assert report.mu_max == mu_guess
+        assert report.dt_crit > 0.1  # a genuine step, not a slack artifact
+        assert report.dt_crit == pytest.approx(
+            _dense_dt_crit(rom, mu_guess), rel=1e-8
+        )
+
+    def test_non_rayleigh_deim_takes_the_dense_path(self):
+        rom = _sampled_reduction("deim", a1=0.5)
+        radius_at, mu_guess, decoupled = _step_radius(rom)
+        assert not decoupled
+        assert critical_dt_report(rom).dt_crit == _dense_dt_crit(rom, mu_guess)
+
+    def test_hand_built_damping_takes_the_dense_path(self):
+        rng = np.random.default_rng(97)
+        basis = ReducedBasis(np.eye(6)[:, :3], "plain-orthonormal")
+        stiffness = np.diag([1.0, 4.0, 9.0]) + 0.1 * rng.standard_normal((3, 3))
+        rom = ReducedModel(
+            mass=np.eye(3),
+            damping=0.05 * np.abs(rng.standard_normal((3, 3))),
+            stiffness=stiffness,
+            provenance="deim",
+            symmetric=False,
+            basis=basis,
+            a1=0.0,
+            a2=0.01,
+            mass_is_identity=True,
+        )
+        _, mu_guess, decoupled = _step_radius(rom)
+        assert not decoupled
+        assert critical_dt_report(rom).dt_crit == _dense_dt_crit(rom, mu_guess)
+
+    @pytest.mark.parametrize("field", ["stiffness", "damping"])
+    @pytest.mark.parametrize("kind", ["projected", "naive-rect"])
+    def test_non_finite_operator_is_a_value_error(self, kind, field):
+        rom = _sampled_reduction(kind)
+        broken = getattr(rom, field).copy()
+        broken[0, 0] = np.nan if field == "stiffness" else np.inf
+        setattr(rom, field, broken)
+        with pytest.raises(ValueError, match="non-finite"):
+            critical_dt_report(rom)
 
 
 class TestStabilityReportRecord:
