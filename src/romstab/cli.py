@@ -14,6 +14,11 @@ Every subcommand accepts ``--seed``, ``--json`` and ``--config FILE``; the
 config file is a JSON object supplying defaults for the subcommand's
 *optional* flags (explicit flags win, unknown keys are rejected).
 
+``_COMMANDS`` declares each subcommand once: its help, positionals and a
+table of options, each with its spellings, type, default (or required),
+help and argparse extras.  That table is the single source for the
+parser's flags, the ``--config`` keys and their types, and the defaults.
+
 Exit codes: 0 success; 2 usage or argument errors; 3 file or format
 errors; 4 divergence; 5 verification or reproduction failure.
 """
@@ -23,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -55,109 +61,56 @@ __all__ = ["main", "run", "build_parser"]
 
 _REQUIRED = object()
 
-# per-command optional-flag table: dest -> (merge default, coercion)
-_OPTIONS = {
-    "build": {
-        "m": (_REQUIRED, int),
-        "element_mass": (_REQUIRED, float),
-        "element_stiffness": (_REQUIRED, float),
-        "length": (1.0, float),
-        "boundary": (99.0, float),
-        "a1": (0.0, float),
-        "a2": (0.0, float),
-        "output": (_REQUIRED, str),
-    },
-    "timestep": {
-        "basis": (None, str),
-        "weights": (None, str),
-        "element_bound": (False, bool),
-        "scale": (1.0, float),
-    },
-    "reduce": {
-        "modes": (None, str),
-        "pod": (None, str),
-        "k": (None, int),
-        "plain": (False, bool),
-        "output": (_REQUIRED, str),
-    },
-    "hyper": {
-        "method": (_REQUIRED, str),
-        "basis": (None, str),
-        "snapshots": (None, str),
-        "tau": (0.01, float),
-        "points": (None, str),
-        "k_force": (None, int),
-        "output": (_REQUIRED, str),
-    },
-    "integrate": {
-        "basis": (None, str),
-        "weights": (None, str),
-        "dt": (None, float),
-        "dt_frac": (None, float),
-        "t_end": (None, float),
-        "steps": (None, int),
-        "record_every": (1, int),
-        "x0_random": (None, float),
-        "output": (_REQUIRED, str),
-    },
-    "verify": {
-        "trials": (200, int),
-        "break_symmetry": (False, bool),
-    },
-    "reproduce": {
-        "only": (None, str),
-    },
-}
+_Option = namedtuple("_Option", "flags dest kind default help extra")
+
+
+def _opt(flags, kind, default, help, **extra):
+    """One option: spellings, type (bool: a switch), default or _REQUIRED, help."""
+    flags = tuple(flags.split())
+    dest = flags[-1].lstrip("-").replace("-", "_")
+    return _Option(flags, dest, kind, default, help, extra)
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+# JSON types a config value of each non-switch option type may take
+_ACCEPTS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+            str: ((str,), "a string")}
 
 
 def _coerce(name, value, kind):
     """Bring a config-file value to the flag's type; reject shape surprises."""
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ValueError(f"config key {name!r} must be true or false")
-        return value
-    if isinstance(value, bool):
-        raise ValueError(f"config key {name!r} must not be a boolean")
-    if kind is int:
-        if not isinstance(value, int):
-            raise ValueError(f"config key {name!r} must be an integer")
-        return value
-    if kind is float:
-        if not isinstance(value, (int, float)):
-            raise ValueError(f"config key {name!r} must be a number")
-        return float(value)
-    if not isinstance(value, str):
-        raise ValueError(f"config key {name!r} must be a string")
-    return value
-
-
-def _load_config(path):
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: config must be a JSON object")
-    return doc
+    if (kind is bool) != isinstance(value, bool):
+        rule = "be true or false" if kind is bool else "not be a boolean"
+        raise ValueError(f"config key {name!r} must {rule}")
+    if kind is not bool and not isinstance(value, _ACCEPTS[kind][0]):
+        raise ValueError(f"config key {name!r} must be {_ACCEPTS[kind][1]}")
+    return float(value) if kind is float else value
 
 
 def _resolve(ns, command):
     """Merge CLI flags over config-file values over built-in defaults."""
-    table = _OPTIONS[command]
-    config = _load_config(ns.config) if ns.config is not None else {}
-    unknown = set(config) - set(table) - {"seed"}
+    _, _, _, options = _COMMANDS[command]
+    config = read_json(ns.config) if ns.config is not None else {}
+    if not isinstance(config, dict):
+        raise FormatError(f"{ns.config}: config must be a JSON object")
+    unknown = set(config) - {o.dest for o in options} - {"seed"}
     if unknown:
         raise ValueError(
             f"config keys not understood by {command!r}: {sorted(unknown)}"
         )
     opts = {}
-    for name, (default, kind) in table.items():
-        value = getattr(ns, name)
-        if value is None and name in config:
-            value = _coerce(name, config[name], kind)
+    for o in options:
+        value = getattr(ns, o.dest)
+        if value is None and o.dest in config:
+            value = _coerce(o.dest, config[o.dest], o.kind)
         if value is None:
-            value = default
+            value = o.default
         if value is _REQUIRED:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{command}: missing required option {flag}")
-        opts[name] = value
+            raise ValueError(f"{command}: missing required option {_flag(o.dest)}")
+        opts[o.dest] = value
     seed = ns.seed
     if seed is None and "seed" in config:
         seed = _coerce("seed", config["seed"], int)
@@ -187,6 +140,23 @@ def _emit(ns, payload, text):
     print(json.dumps(payload) if ns.json else text)
 
 
+def _one_of(opts, first, second):
+    """Require exactly one of two options; return whether it is ``first``."""
+    if (opts[first] is None) == (opts[second] is None):
+        raise ValueError(f"choose exactly one of {_flag(first)} or {_flag(second)}")
+    return opts[first] is not None
+
+
+def _read_snapshots(path, model):
+    """Snapshot matrix of a trajectory CSV, one row per DoF of ``model``."""
+    snapshots = snapshots_from_trajectory(read_trajectory(path))
+    if snapshots.shape[0] != model.m:
+        raise ValueError(
+            f"snapshots have {snapshots.shape[0]} rows for model order {model.m}"
+        )
+    return snapshots
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -195,13 +165,9 @@ def _emit(ns, payload, text):
 def cmd_build(ns):
     opts = _resolve(ns, "build")
     model = build_string_model(
-        opts["m"],
-        element_mass=opts["element_mass"],
-        element_stiffness=opts["element_stiffness"],
-        length=opts["length"],
-        boundary_factor=opts["boundary"],
-        a1=opts["a1"],
-        a2=opts["a2"],
+        opts["m"], element_mass=opts["element_mass"],
+        element_stiffness=opts["element_stiffness"], length=opts["length"],
+        boundary_factor=opts["boundary"], a1=opts["a1"], a2=opts["a2"],
     )
     write_model(model, opts["output"])
     mu_max = max_gen_eigenvalue(model.stiffness, model.mass)
@@ -215,21 +181,14 @@ def cmd_build(ns):
 
 def _load_reduction(model, opts):
     """Shared model/basis/weights composition for timestep and integrate."""
-    basis = None
-    if opts["basis"] is not None:
-        basis = read_basis(opts["basis"], mass=model.mass)
-        if basis.m != model.m:
-            raise ValueError(
-                f"basis has {basis.m} rows for model order {model.m}"
-            )
-    if opts["weights"] is not None:
-        if basis is None:
+    if opts["basis"] is None:
+        if opts["weights"] is not None:
             raise ValueError("--weights requires --basis")
-        weights = read_weights(opts["weights"])
-        return ecsw_reduce(model, weights, basis)
-    if basis is not None:
+        return model
+    basis = read_basis(opts["basis"], mass=model.mass)
+    if opts["weights"] is None:
         return galerkin_reduce(model, basis)
-    return model
+    return ecsw_reduce(model, read_weights(opts["weights"]), basis)
 
 
 def cmd_timestep(ns):
@@ -256,18 +215,12 @@ def cmd_timestep(ns):
 def cmd_reduce(ns):
     opts = _resolve(ns, "reduce")
     model = read_model(ns.model)
-    if (opts["modes"] is None) == (opts["pod"] is None):
-        raise ValueError("choose exactly one of --modes or --pod")
-    if opts["modes"] is not None:
+    if _one_of(opts, "modes", "pod"):
         basis = modal_basis(model, _parse_index_spec(opts["modes"]))
     else:
         if opts["k"] is None:
             raise ValueError("--pod requires --k")
-        snapshots = snapshots_from_trajectory(read_trajectory(opts["pod"]))
-        if snapshots.shape[0] != model.m:
-            raise ValueError(
-                f"snapshots have {snapshots.shape[0]} rows for model order {model.m}"
-            )
+        snapshots = _read_snapshots(opts["pod"], model)
         mass = None if opts["plain"] else model.mass
         basis = pod_basis(snapshots, opts["k"], mass=mass)
     write_basis(basis, opts["output"])
@@ -289,7 +242,7 @@ def cmd_hyper(ns):
         if not 0.0 < opts["tau"] < 1.0:
             raise ValueError("--tau must lie strictly between 0 and 1")
         basis = read_basis(opts["basis"], mass=model.mass)
-        snapshots = snapshots_from_trajectory(read_trajectory(opts["snapshots"]))
+        snapshots = _read_snapshots(opts["snapshots"], model)
         weights = ecsw_train(model, basis, snapshots, opts["tau"])
         write_weights(weights, opts["output"])
         _emit(
@@ -311,12 +264,7 @@ def cmd_hyper(ns):
     elif method == "deim":
         if opts["snapshots"] is None or opts["k_force"] is None:
             raise ValueError("--method deim requires --snapshots and --k-force")
-        snapshots = snapshots_from_trajectory(read_trajectory(opts["snapshots"]))
-        if snapshots.shape[0] != model.m:
-            raise ValueError(
-                f"snapshots have {snapshots.shape[0]} rows for model order {model.m}"
-            )
-        forces = model.stiffness @ snapshots
+        forces = model.stiffness @ _read_snapshots(opts["snapshots"], model)
         u, _, _ = thin_svd(forces)
         if opts["k_force"] > u.shape[1]:
             raise ValueError(
@@ -325,9 +273,7 @@ def cmd_hyper(ns):
             )
         samples = SampleSet.from_model(model, deim_points(u[:, : opts["k_force"]]))
     else:
-        raise ValueError(
-            f"unknown method {method!r}; choose ecsw, deim or collocation"
-        )
+        raise ValueError(f"unknown method {method!r}; choose ecsw, deim or collocation")
     write_sample_set(samples, opts["output"])
     _emit(
         ns,
@@ -347,9 +293,7 @@ def cmd_integrate(ns):
     opts = _resolve(ns, "integrate")
     model = read_model(ns.model)
     system = _load_reduction(model, opts)
-    if (opts["dt"] is None) == (opts["dt_frac"] is None):
-        raise ValueError("choose exactly one of --dt or --dt-frac")
-    if opts["dt"] is not None:
+    if _one_of(opts, "dt", "dt_frac"):
         dt = opts["dt"]
     else:
         if opts["dt_frac"] <= 0.0:
@@ -362,9 +306,7 @@ def cmd_integrate(ns):
         dt = opts["dt_frac"] * dt_crit
     if dt <= 0.0:
         raise ValueError("time step must be positive")
-    if (opts["t_end"] is None) == (opts["steps"] is None):
-        raise ValueError("choose exactly one of --t-end or --steps")
-    if opts["steps"] is not None:
+    if not _one_of(opts, "t_end", "steps"):
         if opts["steps"] < 0:
             raise ValueError("--steps must be non-negative")
         t_end = opts["steps"] * dt
@@ -376,21 +318,16 @@ def cmd_integrate(ns):
         raise ValueError("--record-every must be at least 1")
 
     dim = system.dim
+    x0, v0 = np.zeros(dim), np.zeros(dim)
     if opts["x0_random"] is not None:
         rng = np.random.default_rng(opts["seed"])
         x0 = opts["x0_random"] * rng.standard_normal(dim)
-    else:
-        x0 = np.zeros(dim)
-    v0 = np.zeros(dim)
 
     if t_end == 0.0:
-        trajectory = Trajectory(
-            times=np.zeros(0), states=np.zeros((0, dim)), divergence_flag=False
-        )
+        trajectory = Trajectory(np.zeros(0), np.zeros((0, dim)), divergence_flag=False)
     else:
-        trajectory = integrate(
-            system, x0, v0, t_end, dt, record_every=opts["record_every"]
-        )
+        trajectory = integrate(system, x0, v0, t_end, dt,
+                               record_every=opts["record_every"])
     write_trajectory(trajectory, opts["output"])
     diverged = trajectory.divergence_flag
     _emit(
@@ -419,37 +356,31 @@ def cmd_verify(ns):
         break_symmetry=opts["break_symmetry"],
     )
     all_pass = all(r.passed for r in results)
-    if ns.json:
-        print(
-            json.dumps(
-                {
-                    "seed": opts["seed"],
-                    "trials": opts["trials"],
-                    "results": [r.to_dict() for r in results],
-                    "all_pass": all_pass,
-                }
-            )
-        )
-    else:
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            print(
-                f"[{status}] {r.name:24s} trials={r.trials:<5d} "
-                f"failures={r.failures:<3d} worst={r.worst: .3e}  ({r.note})"
-            )
-        print(f"{'all properties hold' if all_pass else 'PROPERTY FAILURES'} "
-              f"(seed {opts['seed']}, {opts['trials']} trials)")
+    lines = [
+        f"[{'PASS' if r.passed else 'FAIL'}] {r.name:24s} trials={r.trials:<5d} "
+        f"failures={r.failures:<3d} worst={r.worst: .3e}  ({r.note})"
+        for r in results
+    ]
+    lines.append(f"{'all properties hold' if all_pass else 'PROPERTY FAILURES'} "
+                 f"(seed {opts['seed']}, {opts['trials']} trials)")
+    _emit(
+        ns,
+        {
+            "seed": opts["seed"],
+            "trials": opts["trials"],
+            "results": [r.to_dict() for r in results],
+            "all_pass": all_pass,
+        },
+        "\n".join(lines),
+    )
     return 0 if all_pass else 5
 
 
 def cmd_reproduce(ns):
     opts = _resolve(ns, "reproduce")
     report = run_reproduce(only=opts["only"])
-    if ns.json:
-        print(json.dumps(report.to_dict()))
-    else:
-        show_matrix = opts["only"] in (None, "string5")
-        print(format_report(report, show_operator=show_matrix))
+    show_matrix = opts["only"] in (None, "string5")
+    _emit(ns, report.to_dict(), format_report(report, show_operator=show_matrix))
     return 0 if report.all_pass else 5
 
 
@@ -469,6 +400,85 @@ def _common_parser():
     return common
 
 
+_MODEL = ("model", {"help": "model file"})
+
+# name -> (handler, help, positionals, options); options in --help order
+_COMMANDS = {
+    "build": (cmd_build, "construct a model file", [
+        ("family", {"choices": ["string"], "help": "model family to build"}),
+    ], [
+        _opt("--m", int, _REQUIRED, "number of DoFs"),
+        _opt("--M --element-mass", float, _REQUIRED, "mass per element"),
+        _opt("--K --element-stiffness", float, _REQUIRED, "stiffness per element"),
+        _opt("--L --length", float, 1.0, "element length (default 1)"),
+        _opt("--boundary", float, 99.0,
+             "boundary-spring stiffness factor (default 99)"),
+        _opt("--a1", float, 0.0, "mass-proportional damping coefficient"),
+        _opt("--a2", float, 0.0, "stiffness-proportional damping coefficient"),
+        _opt("-o --output", str, _REQUIRED, "model file to write"),
+    ]),
+    "timestep": (cmd_timestep, "critical-time-step report (JSON on stdout)", [
+        _MODEL,
+    ], [
+        _opt("--basis", str, None, "reduced-basis file"),
+        _opt("--weights", str, None, "element-weights file"),
+        _opt("--element-bound", bool, False,
+             "use the element-level bound instead of the exact eigenvalue"),
+        _opt("--scale", float, 1.0,
+             "multiply the reported dt_crit by a safety factor"),
+    ]),
+    "reduce": (cmd_reduce, "build a reduced basis", [_MODEL], [
+        _opt("--modes", str, None, "mode indices, e.g. '0:10' or '1,3'",
+             metavar="SPEC"),
+        _opt("--pod", str, None, "trajectory CSV to build a snapshot basis from",
+             metavar="TRAJ"),
+        _opt("--k", int, None, "number of snapshot-basis columns"),
+        _opt("--plain", bool, False,
+             "plain-orthonormal snapshot basis (default mass-orthonormal)"),
+        _opt("-o --output", str, _REQUIRED, "basis file to write"),
+    ]),
+    "hyper": (cmd_hyper, "element-weight training / sample-set selection", [
+        _MODEL,
+    ], [
+        _opt("--method", str, _REQUIRED, "hyper-reduction flavor",
+             choices=["ecsw", "deim", "collocation"]),
+        _opt("--basis", str, None, "reduced-basis file (ecsw)"),
+        _opt("--snapshots", str, None, "trajectory CSV with training snapshots",
+             metavar="TRAJ"),
+        _opt("--tau", float, 0.01, "training residual tolerance (default 0.01)"),
+        _opt("--points", str, None, "collocation DoFs, e.g. '0,2,4'",
+             metavar="SPEC"),
+        _opt("--k-force", int, None,
+             "force-basis columns for greedy point selection"),
+        _opt("-o --output", str, _REQUIRED, "file to write"),
+    ]),
+    "integrate": (cmd_integrate, "explicit central-difference integration to CSV", [
+        _MODEL,
+    ], [
+        _opt("--basis", str, None, "reduced-basis file"),
+        _opt("--weights", str, None, "element-weights file (with --basis)"),
+        _opt("--dt", float, None, "time step"),
+        _opt("--dt-frac", float, None,
+             "time step as a fraction of the critical step"),
+        _opt("--t-end", float, None, "end time"),
+        _opt("--steps", int, None, "number of steps (alternative to --t-end)"),
+        _opt("--record-every", int, 1, "record every n-th step (default 1)"),
+        _opt("--x0-random", float, None, "seeded random initial displacement",
+             metavar="SCALE"),
+        _opt("-o --output", str, _REQUIRED, "trajectory CSV to write"),
+    ]),
+    "verify": (cmd_verify, "randomized property suite", [], [
+        _opt("--trials", int, 200, "instances per property (default 200)"),
+        _opt("--break-symmetry", bool, False,
+             "also run the symmetry-breaking witness checks"),
+    ]),
+    "reproduce": (cmd_reproduce, "golden-number regression report", [], [
+        _opt("--only", str, None, "restrict to one target group",
+             choices=list(GROUPS)),
+    ]),
+}
+
+
 def build_parser():
     common = _common_parser()
     parser = argparse.ArgumentParser(
@@ -476,104 +486,15 @@ def build_parser():
         description="explicit-dynamics model reduction with stable-time-step reporting",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    p = sub.add_parser("build", parents=[common],
-                       help="construct a model file")
-    p.add_argument("family", choices=["string"],
-                   help="model family to build")
-    p.add_argument("--m", type=int, default=None, help="number of DoFs")
-    p.add_argument("--M", "--element-mass", dest="element_mass", type=float,
-                   default=None, help="mass per element")
-    p.add_argument("--K", "--element-stiffness", dest="element_stiffness",
-                   type=float, default=None, help="stiffness per element")
-    p.add_argument("--L", "--length", dest="length", type=float, default=None,
-                   help="element length (default 1)")
-    p.add_argument("--boundary", type=float, default=None,
-                   help="boundary-spring stiffness factor (default 99)")
-    p.add_argument("--a1", type=float, default=None,
-                   help="mass-proportional damping coefficient")
-    p.add_argument("--a2", type=float, default=None,
-                   help="stiffness-proportional damping coefficient")
-    p.add_argument("-o", "--output", default=None, help="model file to write")
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("timestep", parents=[common],
-                       help="critical-time-step report (JSON on stdout)")
-    p.add_argument("model", help="model file")
-    p.add_argument("--basis", default=None, help="reduced-basis file")
-    p.add_argument("--weights", default=None, help="element-weights file")
-    p.add_argument("--element-bound", action="store_true", default=None,
-                   help="use the element-level bound instead of the exact eigenvalue")
-    p.add_argument("--scale", type=float, default=None,
-                   help="multiply the reported dt_crit by a safety factor")
-    p.set_defaults(func=cmd_timestep)
-
-    p = sub.add_parser("reduce", parents=[common],
-                       help="build a reduced basis")
-    p.add_argument("model", help="model file")
-    p.add_argument("--modes", default=None, metavar="SPEC",
-                   help="mode indices, e.g. '0:10' or '1,3'")
-    p.add_argument("--pod", default=None, metavar="TRAJ",
-                   help="trajectory CSV to build a snapshot basis from")
-    p.add_argument("--k", type=int, default=None,
-                   help="number of snapshot-basis columns")
-    p.add_argument("--plain", action="store_true", default=None,
-                   help="plain-orthonormal snapshot basis (default mass-orthonormal)")
-    p.add_argument("-o", "--output", default=None, help="basis file to write")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("hyper", parents=[common],
-                       help="element-weight training / sample-set selection")
-    p.add_argument("model", help="model file")
-    p.add_argument("--method", choices=["ecsw", "deim", "collocation"],
-                   default=None, help="hyper-reduction flavor")
-    p.add_argument("--basis", default=None, help="reduced-basis file (ecsw)")
-    p.add_argument("--snapshots", default=None, metavar="TRAJ",
-                   help="trajectory CSV with training snapshots")
-    p.add_argument("--tau", type=float, default=None,
-                   help="training residual tolerance (default 0.01)")
-    p.add_argument("--points", default=None, metavar="SPEC",
-                   help="collocation DoFs, e.g. '0,2,4'")
-    p.add_argument("--k-force", dest="k_force", type=int, default=None,
-                   help="force-basis columns for greedy point selection")
-    p.add_argument("-o", "--output", default=None, help="file to write")
-    p.set_defaults(func=cmd_hyper)
-
-    p = sub.add_parser("integrate", parents=[common],
-                       help="explicit central-difference integration to CSV")
-    p.add_argument("model", help="model file")
-    p.add_argument("--basis", default=None, help="reduced-basis file")
-    p.add_argument("--weights", default=None,
-                   help="element-weights file (with --basis)")
-    p.add_argument("--dt", type=float, default=None, help="time step")
-    p.add_argument("--dt-frac", dest="dt_frac", type=float, default=None,
-                   help="time step as a fraction of the critical step")
-    p.add_argument("--t-end", dest="t_end", type=float, default=None,
-                   help="end time")
-    p.add_argument("--steps", type=int, default=None,
-                   help="number of steps (alternative to --t-end)")
-    p.add_argument("--record-every", dest="record_every", type=int, default=None,
-                   help="record every n-th step (default 1)")
-    p.add_argument("--x0-random", dest="x0_random", type=float, default=None,
-                   metavar="SCALE", help="seeded random initial displacement")
-    p.add_argument("-o", "--output", default=None, help="trajectory CSV to write")
-    p.set_defaults(func=cmd_integrate)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="randomized property suite")
-    p.add_argument("--trials", type=int, default=None,
-                   help="instances per property (default 200)")
-    p.add_argument("--break-symmetry", dest="break_symmetry",
-                   action="store_true", default=None,
-                   help="also run the symmetry-breaking witness checks")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("reproduce", parents=[common],
-                       help="golden-number regression report")
-    p.add_argument("--only", choices=list(GROUPS), default=None,
-                   help="restrict to one target group")
-    p.set_defaults(func=cmd_reproduce)
-
+    for name, (func, help_text, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for arg, kwargs in positionals:
+            p.add_argument(arg, **kwargs)
+        for o in options:
+            kwargs = {"action": "store_true"} if o.kind is bool else {"type": o.kind}
+            p.add_argument(*o.flags, dest=o.dest, default=None, help=o.help,
+                           **kwargs, **o.extra)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -589,10 +510,7 @@ def run(argv=None):
         return 2
     try:
         return ns.func(ns)
-    except FormatError as exc:
-        print(f"romstab: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"romstab: {exc}", file=sys.stderr)
         return 3
     except (RomStabError, ValueError, TypeError) as exc:

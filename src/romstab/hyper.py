@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import FormatError, RankDeficiencyError
 from .kernels import pseudoinverse, sparse_nnls
-from .models import ForceTable, read_json, write_json
+from .models import ForceTable, assemble, read_json, require_keys, write_json
 from .reduction import (
     MASS_ORTHONORMAL,
     ReducedBasis,
@@ -455,23 +455,6 @@ def ecsw_train(model, basis, snapshots, tau):
     )
 
 
-def _weighted_assembly(model, weights):
-    xi = np.asarray(getattr(weights, "xi", weights), dtype=float)
-    if xi.shape[0] != len(model.elements):
-        raise ValueError(
-            f"{xi.shape[0]} weights for {len(model.elements)} elements"
-        )
-    mass_w = np.zeros(model.m)
-    stiffness_w = np.zeros((model.m, model.m))
-    for w, element in zip(xi, model.elements):
-        if w == 0.0:
-            continue
-        ix = np.asarray(element.dofs, dtype=int)
-        mass_w[ix] += w * element.mass
-        stiffness_w[np.ix_(ix, ix)] += w * element.stiffness
-    return mass_w, stiffness_w
-
-
 def ecsw_weighted_operator(model, weights):
     """Mass-normalized weighted stiffness ``M^-1/2 (sum xi_e Ke) M^-1/2``.
 
@@ -480,7 +463,9 @@ def ecsw_weighted_operator(model, weights):
     """
     if not model.elements:
         raise ValueError("model carries no element blocks to weight")
-    _, stiffness_w = _weighted_assembly(model, weights)
+    _, stiffness_w = assemble(
+        model.elements, model.m, weights=getattr(weights, "xi", weights)
+    )
     inv_sqrt = 1.0 / np.sqrt(model.mass)
     return stiffness_w * np.outer(inv_sqrt, inv_sqrt)
 
@@ -497,7 +482,9 @@ def ecsw_reduce(model, weights, basis):
         raise ValueError(f"basis has {basis.m} rows for model order {model.m}")
     if not model.elements:
         raise ValueError("model carries no element blocks to weight")
-    mass_w, stiffness_w = _weighted_assembly(model, weights)
+    mass_w, stiffness_w = assemble(
+        model.elements, model.m, weights=getattr(weights, "xi", weights)
+    )
     v = basis.matrix
     stiffness_r = v.T @ (stiffness_w @ v)
     damping_r = model.a1 * (v.T @ (mass_w[:, None] * v)) + model.a2 * stiffness_r
@@ -596,12 +583,7 @@ def sample_set_to_dict(samples):
 def sample_set_from_dict(doc):
     if not isinstance(doc, dict):
         raise FormatError("sample-set document must be a JSON object")
-    unknown = set(doc) - _SAMPLE_KEYS
-    if unknown:
-        raise FormatError(f"sample set has unknown keys: {sorted(unknown)}")
-    missing = _SAMPLE_KEYS - set(doc)
-    if missing:
-        raise FormatError(f"sample set is missing keys: {sorted(missing)}")
+    require_keys(doc, _SAMPLE_KEYS, _SAMPLE_KEYS, "sample set")
     try:
         return SampleSet(
             tuple(doc["collocation"]),
@@ -631,12 +613,7 @@ def weights_to_dict(weights):
 def weights_from_dict(doc):
     if not isinstance(doc, dict):
         raise FormatError("weights document must be a JSON object")
-    unknown = set(doc) - _WEIGHT_KEYS
-    if unknown:
-        raise FormatError(f"weights have unknown keys: {sorted(unknown)}")
-    missing = _WEIGHT_KEYS - set(doc)
-    if missing:
-        raise FormatError(f"weights are missing keys: {sorted(missing)}")
+    require_keys(doc, _WEIGHT_KEYS, _WEIGHT_KEYS, "weights")
     try:
         return EcswWeights(
             xi=np.array(doc["xi"], dtype=float),

@@ -254,7 +254,11 @@ def read_trajectory(path):
             if fields["diverged"] not in ("true", "false"):
                 raise FormatError(f"{path}: malformed divergence flag {line!r}")
             diverged = fields["diverged"] == "true"
-            step = int(fields["step"])
+            try:
+                step = int(fields["step"])
+            except ValueError as exc:
+                msg = f"{path}: malformed divergence step {line!r}"
+                raise FormatError(msg) from exc
             step = None if step < 0 else step
             continue
         values = [tok.strip() for tok in line.split(",")]

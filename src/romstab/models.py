@@ -131,15 +131,21 @@ class ElementBlock:
         return max_gen_eigenvalue(self.stiffness, self.mass)
 
 
-def assemble(elements, m):
+def assemble(elements, m, weights=None):
     """Scatter-add element blocks into global (mass diagonal, stiffness).
 
     The global stiffness is exactly symmetric by construction: each
     element block is, and entries (i, j) and (j, i) accumulate identical
-    addend sequences in identical order.
+    addend sequences in identical order.  ``weights``, if given, scales
+    each element's mass and stiffness by its factor; elements of weight
+    zero are skipped.
     """
     if m < 1:
         raise ValueError(f"model order must be at least 1, got {m}")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape[0] != len(elements):
+            raise ValueError(f"{weights.shape[0]} weights for {len(elements)} elements")
     mass = np.zeros(m)
     stiffness = np.zeros((m, m))
     for pos, element in enumerate(elements):
@@ -148,9 +154,14 @@ def assemble(elements, m):
                 f"element {pos} references DoF {max(element.dofs)} "
                 f"outside a model of order {m}"
             )
+        me, ke = element.mass, element.stiffness
+        if weights is not None:
+            if weights[pos] == 0.0:
+                continue
+            me, ke = weights[pos] * me, weights[pos] * ke
         ix = np.asarray(element.dofs, dtype=int)
-        mass[ix] += element.mass
-        stiffness[np.ix_(ix, ix)] += element.stiffness
+        mass[ix] += me
+        stiffness[np.ix_(ix, ix)] += ke
     return mass, stiffness
 
 
@@ -160,8 +171,9 @@ class FullOrderModel:
 
     Invariants enforced at construction: strictly positive lumped mass,
     exactly symmetric PSD stiffness, ``a1, a2 >= 0``, and — when element
-    blocks are attached — agreement between the stored mass and the
-    scatter of the element masses.
+    blocks are attached — agreement between the stored mass and stiffness
+    and the scatter of the element blocks (element bounds are conservative
+    only for the stiffness the elements sum to).
     """
 
     m: int
@@ -195,13 +207,19 @@ class FullOrderModel:
             )
         self.elements = tuple(self.elements)
         if self.elements:
-            scattered, _ = assemble(self.elements, self.m)
-            tol = 1e-12 * max(float(np.max(scattered)), 1e-300)
-            if np.max(np.abs(scattered - self.mass)) > tol:
-                raise ValueError(
-                    "stored mass differs from the scatter of the element "
-                    "masses; the element decomposition is inconsistent"
-                )
+            # the scatter is scratch: compare in place, with no m x m temporaries
+            scattered = assemble(self.elements, self.m)
+            for name, stored, scatter in zip(
+                ("mass", "stiffness"), (self.mass, self.stiffness), scattered
+            ):
+                scale = max(float(np.max(scatter)), -float(np.min(scatter)))
+                tol = 1e-12 * max(scale, 1e-300)
+                np.abs(np.subtract(scatter, stored, out=scatter), out=scatter)
+                if np.max(scatter) > tol:
+                    raise ValueError(
+                        f"stored {name} differs from the scatter of the element "
+                        f"{name}es; the element decomposition is inconsistent"
+                    )
         if self.external_force is not None:
             if self.external_force.values.shape[1] != self.m:
                 raise ValueError(
@@ -322,7 +340,8 @@ def write_json(doc, path):
         fh.write("\n")
 
 
-def _require_keys(mapping, allowed, required, what):
+def require_keys(mapping, allowed, required, what):
+    """Reject a JSON object with keys outside ``allowed`` or without ``required``."""
     unknown = set(mapping) - allowed
     if unknown:
         raise FormatError(f"{what} has unknown keys: {sorted(unknown)}")
@@ -382,7 +401,7 @@ def model_from_dict(doc):
     """Rebuild a model from its plain-data form (strict: unknown keys fail)."""
     if not isinstance(doc, dict):
         raise FormatError("model document must be a JSON object")
-    _require_keys(doc, _MODEL_KEYS, {"m", "mass", "stiffness_coo", "a1", "a2"}, "model")
+    require_keys(doc, _MODEL_KEYS, {"m", "mass", "stiffness_coo", "a1", "a2"}, "model")
     m = _as_int(doc["m"], "m")
     if m < 1:
         raise FormatError(f"m must be at least 1, got {m}")
@@ -412,7 +431,7 @@ def model_from_dict(doc):
     for pos, entry in enumerate(doc.get("elements", [])):
         if not isinstance(entry, dict):
             raise FormatError(f"element {pos} must be a JSON object")
-        _require_keys(entry, _ELEMENT_KEYS, {"dofs", "Ke", "Me"}, f"element {pos}")
+        require_keys(entry, _ELEMENT_KEYS, {"dofs", "Ke", "Me"}, f"element {pos}")
         dofs = tuple(_as_int(d, f"element {pos} DoF") for d in entry["dofs"])
         n = len(dofs)
         ke = np.array([_as_number(v, f"element {pos} Ke entry") for v in entry["Ke"]])
@@ -437,7 +456,7 @@ def model_from_dict(doc):
         fdoc = doc["external_force"]
         if not isinstance(fdoc, dict):
             raise FormatError("external_force must be a JSON object")
-        _require_keys(fdoc, _FORCE_KEYS, _FORCE_KEYS, "external_force")
+        require_keys(fdoc, _FORCE_KEYS, _FORCE_KEYS, "external_force")
         times = [_as_number(t, "force time") for t in fdoc["times"]]
         values = [[_as_number(v, "force value") for v in row] for row in fdoc["values"]]
         try:

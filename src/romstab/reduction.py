@@ -29,7 +29,7 @@ from .kernels import (
     require_positive_diagonal,
     thin_svd,
 )
-from .models import ForceTable, read_json, write_json
+from .models import ForceTable, read_json, require_keys, write_json
 
 __all__ = [
     "PLAIN_ORTHONORMAL",
@@ -350,21 +350,18 @@ def basis_from_dict(doc, mass=None):
     """
     if not isinstance(doc, dict):
         raise FormatError("basis document must be a JSON object")
-    unknown = set(doc) - _BASIS_KEYS
-    if unknown:
-        raise FormatError(f"basis has unknown keys: {sorted(unknown)}")
-    missing = _BASIS_KEYS - set(doc)
-    if missing:
-        raise FormatError(f"basis is missing keys: {sorted(missing)}")
+    require_keys(doc, _BASIS_KEYS, _BASIS_KEYS, "basis")
     m, k, kind = doc["m"], doc["k"], doc["kind"]
     if kind not in (PLAIN_ORTHONORMAL, MASS_ORTHONORMAL):
         raise FormatError(f"unknown basis kind {kind!r}")
     columns = doc["columns"]
-    if len(columns) != k or any(len(col) != m for col in columns):
-        raise FormatError(
-            f"basis columns do not form an {m} x {k} array"
-        )
-    matrix = np.array(columns, dtype=float).T
+    try:
+        shaped = len(columns) == k and all(len(col) == m for col in columns)
+        matrix = np.array(columns, dtype=float).T if shaped else None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"basis columns must be lists of numbers ({exc})") from exc
+    if matrix is None:
+        raise FormatError(f"basis columns do not form an {m} x {k} array")
     if kind == MASS_ORTHONORMAL and mass is None:
         raise ValueError(
             "loading a mass-orthonormal basis requires the model's mass diagonal"

@@ -1,12 +1,13 @@
 """End-to-end command-line tests, run in process through ``cli.run``."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from romstab import PROPERTY_NAMES, read_basis, read_model, read_sample_set
-from romstab.cli import run
+from romstab.cli import _resolve, build_parser, run
 
 
 def _out(capsys):
@@ -433,3 +434,182 @@ class TestConfigAndUsage:
         assert run(["--help"]) == 0
         out, _ = _out(capsys)
         assert "COMMAND" in out
+
+
+class TestFormatErrors:
+    """Malformed input files exit 3 (file or format error), not 2 (usage)."""
+
+    @pytest.fixture()
+    def basis_doc(self, model5, tmp_path, capsys):
+        path = tmp_path / "basis.json"
+        assert run(["reduce", model5, "--modes", "0,1", "-o", str(path)]) == 0
+        _out(capsys)
+        return json.loads(path.read_text())
+
+    def _timestep_with_basis(self, model5, tmp_path, capsys, doc):
+        path = tmp_path / "bad_basis.json"
+        path.write_text(json.dumps(doc))
+        rc = run(["timestep", model5, "--basis", str(path)])
+        return rc, _out(capsys)[1]
+
+    def test_non_numeric_basis_entry(self, model5, basis_doc, tmp_path, capsys):
+        basis_doc["columns"][0][1] = "abc"
+        rc, err = self._timestep_with_basis(model5, tmp_path, capsys, basis_doc)
+        assert rc == 3
+        assert "basis columns" in err
+
+    def test_non_list_basis_column(self, model5, basis_doc, tmp_path, capsys):
+        basis_doc["columns"][1] = 7
+        rc, err = self._timestep_with_basis(model5, tmp_path, capsys, basis_doc)
+        assert rc == 3
+        assert "basis columns" in err
+
+    def test_non_integer_trailer_step(self, model5, tmp_path, capsys):
+        traj = tmp_path / "traj.csv"
+        assert run(["integrate", model5, "--dt", "0.01", "--steps", "5",
+                    "--x0-random", "1.0", "-o", str(traj)]) == 0
+        text = traj.read_text()
+        assert "# diverged=false step=-1" in text
+        traj.write_text(text.replace("step=-1", "step=abc"))
+        _out(capsys)
+        rc = run(["reduce", model5, "--pod", str(traj), "--k", "2",
+                  "-o", str(tmp_path / "pod.json")])
+        _, err = _out(capsys)
+        assert rc == 3
+        assert "malformed divergence step" in err
+
+    def test_elements_disagreeing_with_stiffness(self, model5, tmp_path, capsys):
+        # scaled element blocks would give an element "bound" of twice the exact step
+        with open(model5, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for element in doc["elements"]:
+            element["Ke"] = [0.25 * v for v in element["Ke"]]
+        path = tmp_path / "inconsistent.json"
+        path.write_text(json.dumps(doc))
+        for extra in ([], ["--element-bound"]):
+            rc = run(["timestep", str(path)] + extra)
+            _, err = _out(capsys)
+            assert rc == 3
+            assert "stored stiffness differs" in err
+
+
+# (command, config key, flag, flag value or None for a switch, the same value in
+# a config file, a config value of the wrong JSON type); values differ from the
+# defaults, so a config value that was ignored would show
+_OPTION_CASES = [
+    ("build", "m", "--m", "7", 7, 7.5),
+    ("build", "element_mass", "--M", "2", 2, "2"),
+    ("build", "element_stiffness", "--element-stiffness", "3.5", 3.5, True),
+    ("build", "length", "--L", "2", 2.0, "long"),
+    ("build", "boundary", "--boundary", "5", 5, [5]),
+    ("build", "a1", "--a1", "0.1", 0.1, "0.1"),
+    ("build", "a2", "--a2", "0.01", 0.01, False),
+    ("build", "output", "-o", "other.json", "other.json", 3),
+    ("build", "seed", "--seed", "3", 3, "3"),
+    ("timestep", "basis", "--basis", "b.json", "b.json", 1),
+    ("timestep", "weights", "--weights", "w.json", "w.json", ["w.json"]),
+    ("timestep", "element_bound", "--element-bound", None, True, 1),
+    ("timestep", "scale", "--scale", "0.5", 0.5, "0.5"),
+    ("timestep", "seed", "--seed", "4", 4, 4.0),
+    ("reduce", "modes", "--modes", "0:3", "0:3", 3),
+    ("reduce", "pod", "--pod", "t.csv", "t.csv", True),
+    ("reduce", "k", "--k", "4", 4, 4.0),
+    ("reduce", "plain", "--plain", None, True, "yes"),
+    ("reduce", "output", "--output", "x.json", "x.json", {"path": "x.json"}),
+    ("reduce", "seed", "--seed", "5", 5, None),
+    ("hyper", "method", "--method", "deim", "deim", 1),
+    ("hyper", "basis", "--basis", "b.json", "b.json", 2.5),
+    ("hyper", "snapshots", "--snapshots", "t.csv", "t.csv", False),
+    ("hyper", "tau", "--tau", "0.5", 0.5, "0.5"),
+    ("hyper", "points", "--points", "0,2", "0,2", [0, 2]),
+    ("hyper", "k_force", "--k-force", "3", 3, 3.5),
+    ("hyper", "output", "-o", "s.json", "s.json", 0),
+    ("hyper", "seed", "--seed", "6", 6, True),
+    ("integrate", "basis", "--basis", "b.json", "b.json", 1),
+    ("integrate", "weights", "--weights", "w.json", "w.json", 1),
+    ("integrate", "dt", "--dt", "0.01", 0.01, "0.01"),
+    ("integrate", "dt_frac", "--dt-frac", "0.5", 0.5, True),
+    ("integrate", "t_end", "--t-end", "2", 2, "2"),
+    ("integrate", "steps", "--steps", "10", 10, 10.5),
+    ("integrate", "record_every", "--record-every", "5", 5, "5"),
+    ("integrate", "x0_random", "--x0-random", "1", 1, "1"),
+    ("integrate", "output", "--output", "y.csv", "y.csv", 1),
+    ("integrate", "seed", "--seed", "7", 7, "7"),
+    ("verify", "trials", "--trials", "7", 7, 7.0),
+    ("verify", "break_symmetry", "--break-symmetry", None, True, 1),
+    ("verify", "seed", "--seed", "8", 8, [8]),
+    ("reproduce", "only", "--only", "ecsw", "ecsw", 5),
+    ("reproduce", "seed", "--seed", "9", 9, 9.5),
+]
+
+# positionals and the required options of each command, by config key
+_BASE = {
+    "build": (["string"], {"m": ["--m", "5"], "element_mass": ["--M", "1"],
+                           "element_stiffness": ["--K", "10"],
+                           "output": ["-o", "out.json"]}),
+    "timestep": (["model.json"], {}),
+    "reduce": (["model.json"], {"output": ["-o", "basis.json"]}),
+    "hyper": (["model.json"], {"method": ["--method", "ecsw"],
+                               "output": ["-o", "w.json"]}),
+    "integrate": (["model.json"], {"output": ["-o", "traj.csv"]}),
+    "verify": ([], {}),
+    "reproduce": ([], {}),
+}
+
+
+def _base_args(command, without):
+    positionals, required = _BASE[command]
+    args = [command, *positionals]
+    for key, flag_args in required.items():
+        if key != without:
+            args += flag_args
+    return args
+
+
+class TestOptionTable:
+    """Each option, given as a flag or through --config, means the same."""
+
+    def test_cases_cover_every_option(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(_BASE)
+        for command, p in sub.choices.items():
+            declared = {a.dest for a in p._actions if a.option_strings
+                        and a.dest not in ("help", "json", "config")}
+            covered = {case[1] for case in _OPTION_CASES if case[0] == command}
+            assert declared == covered, command
+
+    @pytest.mark.parametrize(
+        "command, key, flag, text, value, wrong", _OPTION_CASES,
+        ids=[f"{case[0]}-{case[1]}" for case in _OPTION_CASES],
+    )
+    def test_flag_and_config_agree(self, tmp_path, command, key, flag, text,
+                                   value, wrong):
+        parser = build_parser()
+        base = _base_args(command, key)
+        by_flag = _resolve(
+            parser.parse_args(base + ([flag] if text is None else [flag, text])),
+            command,
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        by_config = _resolve(parser.parse_args(base + ["--config", str(config)]),
+                             command)
+        assert by_flag == by_config
+        assert by_flag[key] == value
+        if key not in _BASE[command][1]:
+            assert _resolve(parser.parse_args(base), command)[key] != value
+
+    @pytest.mark.parametrize(
+        "command, key, flag, text, value, wrong", _OPTION_CASES,
+        ids=[f"{case[0]}-{case[1]}" for case in _OPTION_CASES],
+    )
+    def test_wrongly_typed_config_value(self, tmp_path, monkeypatch, capsys,
+                                        command, key, flag, text, value, wrong):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: wrong}))
+        assert run(_base_args(command, key) + ["--config", str(config)]) == 2
+        _, err = _out(capsys)
+        assert f"config key {key!r} must" in err

@@ -84,6 +84,19 @@ class TestAssemble:
         _, stiffness = assemble(blocks, 7)
         assert np.array_equal(stiffness, stiffness.T)
 
+    def test_weights_scale_elements_and_skip_zeros(self):
+        k1 = 2.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        blocks = [
+            ElementBlock((0, 1), k1, np.array([1.0, 1.0])),
+            ElementBlock((1, 2), 3.0 * k1, np.array([2.0, 2.0])),
+        ]
+        mass, stiffness = assemble(blocks, 3, weights=[0.5, 0.0])
+        assert np.array_equal(mass, [0.5, 0.5, 0.0])
+        assert np.array_equal(stiffness[:2, :2], 0.5 * k1)
+        assert not stiffness[2].any()
+        with pytest.raises(ValueError, match="3 weights for 2 elements"):
+            assemble(blocks, 3, weights=[1.0, 1.0, 1.0])
+
 
 class TestStringModel:
     def test_three_node_operator_by_hand(self):
@@ -151,6 +164,17 @@ class TestFullOrderModel:
         with pytest.raises(ValueError):
             FullOrderModel(m=3, mass=model.mass + 0.5, stiffness=model.stiffness,
                            elements=model.elements)
+
+    def test_rejects_inconsistent_element_stiffness(self):
+        # an element bound is conservative only for the stiffness the elements
+        # sum to; here the stored stiffness is four times that sum
+        model = build_string_model(3, element_mass=1.0, element_stiffness=1.0,
+                                   length=1.0, boundary_factor=0.0)
+        with pytest.raises(ValueError, match="stored stiffness differs"):
+            FullOrderModel(m=3, mass=model.mass, stiffness=4.0 * model.stiffness,
+                           elements=model.elements)
+        nudged = model.stiffness * (1.0 + 1e-14)  # within the 1e-12 tolerance
+        FullOrderModel(m=3, mass=model.mass, stiffness=nudged, elements=model.elements)
 
     def test_rejects_indefinite_stiffness(self):
         k = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues {3, -1}
