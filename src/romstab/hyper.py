@@ -514,6 +514,18 @@ def _require_sampled(model, name):
         )
 
 
+def _hrom_advance(hrom, x, v_half, t, dt, rows):
+    """One sampled update on arrays: ``(x, v, rows)`` after it, where
+    ``rows`` holds the sampled-row velocities (``None`` before the first
+    step)."""
+    accel_rows = hrom.force_at(x, v_half, t) / hrom.row_mass
+    if rows is None:
+        rows = hrom.row_basis @ v_half
+    rows = rows + dt * accel_rows
+    x_new = hrom.row_basis_pinv @ (hrom.row_basis @ x + dt * rows)
+    return x_new, (x_new - x) / dt, rows
+
+
 def hrom_step(hrom, state, dt):
     """One explicit step of a naive-collocation model.
 
@@ -525,19 +537,11 @@ def hrom_step(hrom, state, dt):
     is recovered from the displacement difference.
     """
     _require_sampled(hrom, "hrom_step")
-    accel_rows = hrom.force_at(state.x, state.v_half, state.t) / hrom.row_mass
-    v_rows = state.row_v_half
-    if v_rows is None:
-        v_rows = hrom.row_basis @ state.v_half
-    v_rows = v_rows + dt * accel_rows
-    x_new = hrom.row_basis_pinv @ (hrom.row_basis @ state.x + dt * v_rows)
+    x, v_half, rows = _hrom_advance(
+        hrom, state.x, state.v_half, state.t, dt, state.row_v_half
+    )
     return replace(
-        state,
-        x=x_new,
-        v_half=(x_new - state.x) / dt,
-        t=state.t + dt,
-        n=state.n + 1,
-        row_v_half=v_rows,
+        state, x=x, v_half=v_half, t=state.t + dt, n=state.n + 1, row_v_half=rows
     )
 
 

@@ -11,18 +11,22 @@ stands in for the half-step history.
 :class:`~romstab.models.FullOrderModel` or a square
 :class:`~romstab.reduction.ReducedModel`.  A naive-collocation
 :class:`~romstab.hyper.SampledModel` has rectangular sampled rows and no
-square mass to solve with; :func:`integrate` steps it by its own rule,
-:func:`~romstab.hyper.hrom_step`.
+square mass to solve with; :func:`~romstab.hyper.hrom_step` is its rule.
+Both public steps wrap one array update each (``_cd_advance`` here,
+``_hrom_advance`` in :mod:`~romstab.hyper`), and :func:`integrate` runs
+those same updates on bare arrays, with no state object per step, so
+its trajectories are bit-identical to a loop of public steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import FormatError
-from .hyper import SampledModel, hrom_step
+from .hyper import SampledModel, _hrom_advance
 from .kernels import spectral_radius
 
 __all__ = [
@@ -75,16 +79,21 @@ class Trajectory:
     divergence_step: int | None = None
 
 
+def _cd_advance(model, x, v_half, t, dt, rows):
+    """One central-difference update on arrays; ``rows`` passes through."""
+    accel = model.mass_inverse_apply(model.force_at(x, v_half, t))
+    v_new = v_half + dt * accel
+    return x + dt * v_new, v_new, rows
+
+
 def cd_step(model, state, dt):
     """Advance one central-difference step.
 
     Non-finite values are *not* trapped here; they propagate into the new
     state so that the driver can flag divergence instead of crashing.
     """
-    accel = model.mass_inverse_apply(model.force_at(state.x, state.v_half, state.t))
-    v_new = state.v_half + dt * accel
-    x_new = state.x + dt * v_new
-    return replace(state, x=x_new, v_half=v_new, t=state.t + dt, n=state.n + 1)
+    x, v_half, _ = _cd_advance(model, state.x, state.v_half, state.t, dt, None)
+    return replace(state, x=x, v_half=v_half, t=state.t + dt, n=state.n + 1)
 
 
 def _step_count(t_end, dt):
@@ -103,6 +112,9 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
     Returns a :class:`Trajectory`; divergence is reported on the
     trajectory, not raised.
     """
+    for name, value in (("dt", dt), ("t_end", t_end), ("blowup", blowup)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end < 0.0:
@@ -119,29 +131,34 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
             f"model dimension {model.dim}"
         )
 
-    stepper = hrom_step if isinstance(model, SampledModel) else cd_step
-    state = IntegratorState.initial(x0, v0)
-    limit = blowup * max(1.0, float(np.linalg.norm(x0)))
-    times = [state.t]
-    states = [state.x.copy()]
-    diverged = False
-    divergence_step = None
+    advance = _hrom_advance if isinstance(model, SampledModel) else _cd_advance
+    x, v_half, t, rows = x0, v0, 0.0, None
+    limit = float(blowup) * max(1.0, float(np.linalg.norm(x0)))
+    times, states = [t], [x0.copy()]
+    diverged, divergence_step = False, None
 
     n_steps = _step_count(t_end, dt)
     for n in range(1, n_steps + 1):
-        state = stepper(model, state, dt)
-        bad = not np.all(np.isfinite(state.x)) or not np.all(
-            np.isfinite(state.v_half)
+        x, v_half, rows = advance(model, x, v_half, t, dt, rows)
+        t = t + dt
+        # norm(x) is sqrt(x.dot(x)), so finite sums of squares within the
+        # limit settle the common case; NaN, inf and overflow take the
+        # elementwise tests
+        sx = x.dot(x)
+        diverged = not (
+            math.isfinite(sx + v_half.dot(v_half)) and math.sqrt(sx) <= limit
+        ) and (
+            not np.all(np.isfinite(x))
+            or not np.all(np.isfinite(v_half))
+            or float(np.linalg.norm(x)) > limit
         )
-        if bad or float(np.linalg.norm(state.x)) > limit:
-            diverged = True
+        # each update returns fresh arrays, so a record needs no copy
+        if diverged or n % record_every == 0 or n == n_steps:
+            times.append(t)
+            states.append(x)
+        if diverged:
             divergence_step = n
-            times.append(state.t)
-            states.append(state.x.copy())
             break
-        if n % record_every == 0 or n == n_steps:
-            times.append(state.t)
-            states.append(state.x.copy())
 
     return Trajectory(
         times=np.array(times),

@@ -11,6 +11,7 @@ The on-disk JSON format is documented with :func:`read_model`.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -67,14 +68,19 @@ class ForceTable:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
+    @cached_property
+    def _stations(self):
+        # a list of floats: bisect on it is cheaper than a numpy search per step
+        return self.times.tolist()
+
     def at(self, t):
         """Force vector at time ``t`` (clamped linear interpolation)."""
-        times = self.times
+        times = self._stations
         if t <= times[0]:
             return self.values[0].copy()
         if t >= times[-1]:
             return self.values[-1].copy()
-        i = int(np.searchsorted(times, t, side="right")) - 1
+        i = bisect.bisect_right(times, t) - 1
         w = (t - times[i]) / (times[i + 1] - times[i])
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
@@ -170,10 +176,10 @@ class FullOrderModel:
     """Assembled second-order model with Rayleigh damping.
 
     Invariants enforced at construction: strictly positive lumped mass,
-    exactly symmetric PSD stiffness, ``a1, a2 >= 0``, and — when element
-    blocks are attached — agreement between the stored mass and stiffness
-    and the scatter of the element blocks (element bounds are conservative
-    only for the stiffness the elements sum to).
+    exactly symmetric PSD stiffness, finite ``a1, a2 >= 0``, and — when
+    element blocks are attached — agreement between the stored mass and
+    stiffness and the scatter of the element blocks (element bounds are
+    conservative only for the stiffness the elements sum to).
     """
 
     m: int
@@ -200,7 +206,7 @@ class FullOrderModel:
                 f"stiffness is not positive semi-definite "
                 f"(min eigenvalue {eigs[0]:.3e})"
             )
-        if self.a1 < 0.0 or self.a2 < 0.0:
+        if not (0.0 <= self.a1 < math.inf and 0.0 <= self.a2 < math.inf):
             raise ValueError(
                 f"Rayleigh coefficients must be nonnegative, got "
                 f"a1={self.a1}, a2={self.a2}"
@@ -356,6 +362,13 @@ def _as_int(value, what):
     return value
 
 
+def _as_list(value, what, convert=None):
+    """A JSON list, each entry through ``convert`` when one is given."""
+    if not isinstance(value, (list, tuple)):
+        raise FormatError(f"{what} must be a list, got {value!r}")
+    return value if convert is None else [convert(v, f"{what} entry") for v in value]
+
+
 def _as_number(value, what):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{what} must be a number, got {value!r}")
@@ -405,13 +418,13 @@ def model_from_dict(doc):
     m = _as_int(doc["m"], "m")
     if m < 1:
         raise FormatError(f"m must be at least 1, got {m}")
-    mass = np.array([_as_number(v, "mass entry") for v in doc["mass"]])
+    mass = np.array(_as_list(doc["mass"], "mass", _as_number))
     if mass.shape != (m,):
         raise FormatError(f"mass has {mass.shape[0]} entries for order {m}")
 
     stiffness = np.zeros((m, m))
     seen = set()
-    for entry in doc["stiffness_coo"]:
+    for entry in _as_list(doc["stiffness_coo"], "stiffness_coo"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise FormatError(f"stiffness_coo entries must be [i, j, value], got {entry!r}")
         i = _as_int(entry[0], "stiffness_coo row")
@@ -428,18 +441,18 @@ def model_from_dict(doc):
         stiffness[j, i] = val
 
     elements = []
-    for pos, entry in enumerate(doc.get("elements", [])):
+    for pos, entry in enumerate(_as_list(doc.get("elements", []), "elements")):
         if not isinstance(entry, dict):
             raise FormatError(f"element {pos} must be a JSON object")
         require_keys(entry, _ELEMENT_KEYS, {"dofs", "Ke", "Me"}, f"element {pos}")
-        dofs = tuple(_as_int(d, f"element {pos} DoF") for d in entry["dofs"])
+        dofs = tuple(_as_list(entry["dofs"], f"element {pos} dofs", _as_int))
         n = len(dofs)
-        ke = np.array([_as_number(v, f"element {pos} Ke entry") for v in entry["Ke"]])
+        ke = np.array(_as_list(entry["Ke"], f"element {pos} Ke", _as_number))
         if ke.size != n * n:
             raise FormatError(
                 f"element {pos} Ke has {ke.size} entries, expected {n * n}"
             )
-        me = np.array([_as_number(v, f"element {pos} Me entry") for v in entry["Me"]])
+        me = np.array(_as_list(entry["Me"], f"element {pos} Me", _as_number))
         kwargs = {}
         for name in ("length", "wave_speed"):
             if name in entry:
@@ -457,8 +470,9 @@ def model_from_dict(doc):
         if not isinstance(fdoc, dict):
             raise FormatError("external_force must be a JSON object")
         require_keys(fdoc, _FORCE_KEYS, _FORCE_KEYS, "external_force")
-        times = [_as_number(t, "force time") for t in fdoc["times"]]
-        values = [[_as_number(v, "force value") for v in row] for row in fdoc["values"]]
+        times = _as_list(fdoc["times"], "force times", _as_number)
+        values = [_as_list(row, "force values row", _as_number)
+                  for row in _as_list(fdoc["values"], "force values")]
         try:
             force = ForceTable(np.array(times), np.array(values))
         except ValueError as exc:

@@ -67,6 +67,17 @@ class TestBuild:
         assert rc == 2
         assert "romstab:" in err
 
+    @pytest.mark.parametrize("flag", ["--a1", "--a2"])
+    def test_non_finite_rayleigh_coefficient_writes_nothing(self, tmp_path,
+                                                            capsys, flag):
+        path = tmp_path / "x.json"
+        rc = run(["build", "string", "--m", "5", "--M", "1", "--K", "10",
+                  flag, "nan", "-o", str(path)])
+        _, err = _out(capsys)
+        assert rc == 2
+        assert "Rayleigh coefficients must be" in err
+        assert not path.exists()
+
     def test_missing_required_flag(self, tmp_path, capsys):
         rc = run(["build", "string", "--m", "5", "--M", "1",
                   "-o", str(tmp_path / "x.json")])
@@ -326,6 +337,22 @@ class TestIntegrate:
                            "--record-every", "0"]) == 2
 
 
+    @pytest.mark.parametrize("name, args", [
+        ("dt", ["--dt", "inf", "--steps", "3"]),
+        ("dt", ["--dt", "nan", "--t-end", "1"]),
+        ("t_end", ["--dt", "0.01", "--t-end", "inf"]),
+        ("t_end", ["--dt", "0.01", "--t-end", "nan"]),
+    ])
+    def test_non_finite_step_or_end_is_usage_error(self, model5, tmp_path,
+                                                   capsys, name, args):
+        path = tmp_path / "x.csv"
+        rc = run(["integrate", model5, "-o", str(path)] + args)
+        _, err = _out(capsys)
+        assert rc == 2
+        assert f"{name} must be finite" in err
+        assert not path.exists()
+
+
 class TestVerify:
     def test_small_suite_passes(self, capsys):
         rc = run(["verify", "--trials", "2"])
@@ -491,6 +518,41 @@ class TestFormatErrors:
             _, err = _out(capsys)
             assert rc == 3
             assert "stored stiffness differs" in err
+
+    def _timestep_on(self, doc, tmp_path, capsys):
+        path = tmp_path / "bad_model.json"
+        path.write_text(json.dumps(doc))
+        rc = run(["timestep", str(path)])
+        return rc, _out(capsys)[1]
+
+    @pytest.mark.parametrize("name", ["a1", "a2"])
+    def test_non_finite_rayleigh_coefficient(self, model5, tmp_path, capsys, name):
+        with open(model5, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc[name] = float("nan")
+        rc, err = self._timestep_on(doc, tmp_path, capsys)
+        assert rc == 3
+        assert "Rayleigh coefficients must be" in err
+
+    @pytest.mark.parametrize("where", [
+        "mass", "stiffness_coo", "elements", "dofs", "Ke", "Me", "times",
+        "values", "values row",
+    ])
+    def test_non_list_model_field(self, model5, tmp_path, capsys, where):
+        with open(model5, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["external_force"] = {"times": [0.0, 1.0], "values": [[0.0] * 5] * 2}
+        if where in ("mass", "stiffness_coo", "elements"):
+            doc[where] = 5
+        elif where in ("dofs", "Ke", "Me"):
+            doc["elements"][1][where] = 3
+        elif where == "values row":
+            doc["external_force"]["values"][1] = 0.0
+        else:
+            doc["external_force"][where] = 1.0
+        rc, err = self._timestep_on(doc, tmp_path, capsys)
+        assert rc == 3
+        assert "must be a list" in err
 
 
 # (command, config key, flag, flag value or None for a switch, the same value in

@@ -10,15 +10,27 @@ import numpy as np
 import pytest
 
 from romstab import (
+    ForceTable,
     FormatError,
     FullOrderModel,
     IntegratorState,
+    SampledModel,
+    SampleSet,
     Trajectory,
     amplification_matrix,
     assess_amplification_stability,
     build_string_model,
     cd_step,
+    collocate_naive,
+    collocate_projected,
+    critical_dt_report,
+    deim_points,
+    ecsw_reduce,
+    ecsw_train,
+    galerkin_reduce,
+    hrom_step,
     integrate,
+    modal_basis,
     read_trajectory,
     spectral_radius,
     write_trajectory,
@@ -204,6 +216,13 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(model, [1.0, 2.0], [0.0, 0.0], t_end=1.0, dt=0.1)
 
+    @pytest.mark.parametrize("name", ["dt", "t_end", "blowup"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_arguments(self, name, value):
+        args = {"dt": 0.1, "t_end": 1.0, "blowup": 1e6, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            integrate(_scalar_model(1.0), [1.0], [0.0], **args)
+
     def test_matches_spectral_radius_prediction(self):
         """Long-run boundedness agrees with rho(A) on both sides of 1."""
         for dt, should_diverge in ((0.95, False), (1.05, True)):
@@ -213,6 +232,133 @@ class TestIntegrate:
             radius = spectral_radius(a).radius
             traj = integrate(model, [1.0], [0.0], t_end=2000 * dt, dt=dt)
             assert traj.divergence_flag == should_diverge == (radius > 1.0)
+
+
+def _loaded_systems():
+    """A loaded 12-DoF string and its five reductions, keyed by ``_KINDS``."""
+    base = build_string_model(12, element_mass=1.0, element_stiffness=10.0,
+                              length=1.0, boundary_factor=3.0, a1=0.05, a2=0.002)
+    rng = np.random.default_rng(31)
+    table = ForceTable(np.linspace(0.0, 30.0, 13),
+                       0.1 * rng.standard_normal((13, 12)))
+    model = FullOrderModel(m=12, mass=base.mass, stiffness=base.stiffness,
+                           a1=base.a1, a2=base.a2, elements=base.elements,
+                           external_force=table)
+    basis = modal_basis(model, range(4))
+    weights = ecsw_train(model, basis, rng.standard_normal((12, 8)), 0.05)
+    every_other = SampleSet.from_model(model, range(0, 12, 2))
+    greedy = SampleSet.from_model(model, deim_points(basis.matrix))
+    return {
+        "full": model,
+        "galerkin": galerkin_reduce(model, basis),
+        "ecsw": ecsw_reduce(model, weights, basis),
+        "projected-collocation": collocate_projected(model, basis, every_other),
+        "naive-collocation-p=k": collocate_naive(model, basis, greedy),
+        "naive-collocation-p>k": collocate_naive(model, basis, every_other),
+    }
+
+
+_KINDS = ["full", "galerkin", "ecsw", "projected-collocation",
+          "naive-collocation-p=k", "naive-collocation-p>k"]
+
+
+@pytest.fixture(scope="module")
+def systems():
+    return _loaded_systems()
+
+
+def _stepped(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
+    """Oracle for :func:`integrate`: public single steps and the plain
+    finiteness and norm tests, one state object per step."""
+    step = hrom_step if isinstance(model, SampledModel) else cd_step
+    state = IntegratorState.initial(x0, v0)
+    limit = blowup * max(1.0, float(np.linalg.norm(state.x)))
+    n_steps = int(np.floor(t_end / dt + 1e-9))
+    times, states = [state.t], [state.x.copy()]
+    for n in range(1, n_steps + 1):
+        state = step(model, state, dt)
+        if (not np.all(np.isfinite(state.x))
+                or not np.all(np.isfinite(state.v_half))
+                or np.linalg.norm(state.x) > limit):
+            times.append(state.t)
+            states.append(state.x.copy())
+            return np.array(times), np.array(states), True, n
+        if n % record_every == 0 or n == n_steps:
+            times.append(state.t)
+            states.append(state.x.copy())
+    return np.array(times), np.array(states), False, None
+
+
+class TestIntegrateParity:
+    """``integrate`` and a loop of public steps agree bit for bit."""
+
+    def _compare(self, model, x0, v0, t_end, dt, **kwargs):
+        with np.errstate(all="ignore"):
+            traj = integrate(model, x0, v0, t_end, dt, **kwargs)
+            times, states, flag, step = _stepped(model, x0, v0, t_end, dt, **kwargs)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states, equal_nan=True)
+        assert traj.divergence_flag is flag
+        assert traj.divergence_step == step
+        return traj
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_stable_run(self, systems, kind, record_every):
+        model = systems[kind]
+        dt = 0.9 * critical_dt_report(model).dt_crit
+        x0 = 0.1 * np.linspace(-1.0, 1.0, model.dim)
+        v0 = np.linspace(0.5, -0.2, model.dim)
+        traj = self._compare(model, x0, v0, 50 * dt, dt, record_every=record_every)
+        assert not traj.divergence_flag
+        assert len(traj.times) == (51 if record_every == 1 else 18)
+
+    @pytest.mark.parametrize("case", ["nan-x0", "blowup", "inf-v0",
+                                      "overflowing-norm"])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_divergence_and_overflow(self, systems, kind, case):
+        model = systems[kind]
+        dt_crit = critical_dt_report(model).dt_crit
+        x0 = 0.1 * np.linspace(-1.0, 1.0, model.dim)
+        v0 = np.zeros(model.dim)
+        dt, blowup = 0.9 * dt_crit, 1e6
+        if case == "nan-x0":
+            x0[1] = np.nan
+        elif case == "blowup":
+            dt, blowup = 1.5 * dt_crit, 10.0
+        elif case == "inf-v0":
+            v0[0] = np.inf
+        else:
+            x0 = 1e200 * x0  # x @ x overflows, so the blow-up limit is inf
+        traj = self._compare(model, x0, v0, 40 * dt, dt, blowup=blowup)
+        assert traj.divergence_flag is (case != "overflowing-norm")
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_blowup_limit_is_inclusive(self, systems, kind):
+        # norm(x0) < 1, so the limit is blowup itself: a step landing exactly
+        # on it goes on, one ulp below it stops the run
+        model = systems[kind]
+        dt = 0.9 * critical_dt_report(model).dt_crit
+        x0 = 0.1 * np.linspace(-1.0, 1.0, model.dim)
+        v0 = np.zeros(model.dim)
+        step = hrom_step if isinstance(model, SampledModel) else cd_step
+        reach = np.linalg.norm(step(model, IntegratorState.initial(x0, v0), dt).x)
+        for blowup, flag in ((reach, False), (np.nextafter(reach, 0.0), True)):
+            traj = self._compare(model, x0, v0, dt, dt, blowup=blowup)
+            assert traj.divergence_flag is flag
+            assert traj.divergence_step == (1 if flag else None)
+
+    @pytest.mark.parametrize("kind", ["naive-collocation-p=k",
+                                      "naive-collocation-p>k"])
+    def test_overflowing_velocity_with_finite_displacement(self, systems, kind):
+        # the sampled velocity is a displacement difference over dt; at a
+        # subnormal dt the round-off of that difference overflows
+        model = systems[kind]
+        x0 = 1e8 * np.linspace(0.3, 1.0, model.dim)
+        dt = 1e-320
+        traj = self._compare(model, x0, np.zeros(model.dim), 3 * dt, dt)
+        assert traj.divergence_step == 1
+        assert np.all(np.isfinite(traj.states[-1]))
 
 
 class TestTrajectoryFile:

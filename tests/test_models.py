@@ -39,6 +39,21 @@ class TestForceTable:
         with pytest.raises(ValueError):
             ForceTable(np.array([0.0, 0.0]), np.array([[1.0], [2.0]]))
 
+    def test_lookup_matches_searchsorted_reference(self):
+        rng = np.random.default_rng(17)
+        times = np.cumsum(rng.uniform(0.01, 1.0, 40))
+        table = ForceTable(times, rng.standard_normal((40, 3)))
+        probes = np.concatenate([times, rng.uniform(times[0] - 1.0,
+                                                     times[-1] + 1.0, 500)])
+        for t in probes.tolist() + [np.float64(times[7]), times[-1] + 1e-300]:
+            if t <= times[0] or t >= times[-1]:
+                expected = table.values[0 if t <= times[0] else -1]
+            else:
+                i = int(np.searchsorted(times, t, side="right")) - 1
+                w = (t - times[i]) / (times[i + 1] - times[i])
+                expected = (1.0 - w) * table.values[i] + w * table.values[i + 1]
+            assert np.array_equal(table.at(t), expected)
+
 
 class TestElementBlock:
     def test_max_eigenvalue_of_rod_pair(self):
@@ -185,6 +200,13 @@ class TestFullOrderModel:
         with pytest.raises(ValueError):
             FullOrderModel(m=2, mass=np.ones(2), stiffness=np.eye(2), a1=-0.1)
 
+    @pytest.mark.parametrize("name", ["a1", "a2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_damping_coefficients(self, name, value):
+        with pytest.raises(ValueError, match="Rayleigh coefficients must be"):
+            FullOrderModel(m=2, mass=np.ones(2), stiffness=np.eye(2),
+                           **{name: value})
+
     def test_force_at_combines_terms(self):
         model = FullOrderModel(
             m=2, mass=np.array([2.0, 1.0]), stiffness=np.eye(2), a1=0.5,
@@ -275,6 +297,15 @@ class TestModelFile:
         doc["mass"][0] = -1.0
         with pytest.raises(FormatError):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("name", ["a1", "a2"])
+    def test_non_finite_damping_coefficient_is_format_error(self, name, tmp_path):
+        doc = model_to_dict(self._model())
+        doc[name] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # json writes the bare token NaN
+        with pytest.raises(FormatError, match="Rayleigh coefficients"):
+            read_model(path)
 
     def test_non_json_file(self, tmp_path):
         path = tmp_path / "junk.json"
