@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import namedtuple
 
@@ -194,8 +195,8 @@ def _load_reduction(model, opts):
 def cmd_timestep(ns):
     opts = _resolve(ns, "timestep")
     model = read_model(ns.model)
-    if opts["scale"] <= 0.0:
-        raise ValueError("--scale must be positive")
+    if not (math.isfinite(opts["scale"]) and opts["scale"] > 0.0):
+        raise ValueError(f"--scale must be finite and positive, got {opts['scale']}")
     if opts["element_bound"]:
         if opts["basis"] is not None:
             raise ValueError("--element-bound ignores the basis; drop --basis")

@@ -420,7 +420,7 @@ def ecsw_training_system(model, basis, snapshots):
     the all-ones weight vector reproduces it exactly.
     """
     _require_mass_orthonormal(basis)
-    if not model.elements:
+    if model.elements is None:
         raise ValueError("model carries no element blocks to weight")
     snaps = np.asarray(snapshots, dtype=float)
     if snaps.ndim == 1:
@@ -431,13 +431,10 @@ def ecsw_training_system(model, basis, snapshots):
         )
     v = basis.matrix
     reduced_coords = v.T @ (model.mass[:, None] * snaps)
-    n_elements = len(model.elements)
-    k, n_s = reduced_coords.shape
-    g = np.zeros((k * n_s, n_elements))
-    for e, element in enumerate(model.elements):
-        ve = v[np.asarray(element.dofs, dtype=int)]
-        fe = element.stiffness @ (ve @ reduced_coords)
-        g[:, e] = (ve.T @ fe).T.ravel()
+    ve = v[model.elements.dofs]  # (E, n, k)
+    fe = model.elements.stiffness @ (ve @ reduced_coords)  # (E, n, n_s)
+    projected = ve.transpose(0, 2, 1) @ fe  # (E, k, n_s); G row s * k + i
+    g = projected.transpose(2, 1, 0).reshape(-1, len(model.elements))
     return g, g.sum(axis=1)
 
 
@@ -461,8 +458,6 @@ def ecsw_weighted_operator(model, weights):
     Its eigenvalues are what the weighted reduced stiffness inherits
     bounds from; exposed separately for reporting.
     """
-    if not model.elements:
-        raise ValueError("model carries no element blocks to weight")
     _, stiffness_w = assemble(
         model.elements, model.m, weights=getattr(weights, "xi", weights)
     )
@@ -480,8 +475,6 @@ def ecsw_reduce(model, weights, basis):
     _require_mass_orthonormal(basis)
     if basis.m != model.m:
         raise ValueError(f"basis has {basis.m} rows for model order {model.m}")
-    if not model.elements:
-        raise ValueError("model carries no element blocks to weight")
     mass_w, stiffness_w = assemble(
         model.elements, model.m, weights=getattr(weights, "xi", weights)
     )

@@ -29,6 +29,7 @@ __all__ = [
     "symmetrize",
     "require_symmetric",
     "require_positive_diagonal",
+    "require_psd",
     "sym_eig",
     "gen_eig_diag_mass",
     "max_gen_eigenvalue",
@@ -73,6 +74,24 @@ def require_positive_diagonal(d, name="diagonal"):
         bad = int(np.argmin(d))
         raise ValueError(f"{name} must be strictly positive; entry {bad} is {d[bad]}")
     return d
+
+
+def require_psd(a, name, rtol):
+    """Require ``lambda_min >= -rtol * max |lambda|`` of symmetric ``a``.
+
+    A stack ``(E, n, n)`` is judged matrix by matrix in one ``eigvalsh``;
+    a ``{}`` in ``name`` receives the index of the first failure.
+    """
+    eigs = np.linalg.eigvalsh(a)
+    lowest = eigs[..., 0]
+    scale = np.maximum(np.max(np.abs(eigs), axis=-1), 1e-300)
+    failed = lowest < -rtol * scale
+    if np.any(failed):
+        i = int(np.argmax(failed))
+        raise ValueError(
+            f"{name.format(i)} is not positive semi-definite "
+            f"(min eigenvalue {lowest.flat[i]:.3e})"
+        )
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 A model is a second-order system ``M x'' + C x' + K x = f(t)`` with a
 diagonal (lumped) mass matrix, exactly symmetric positive semi-definite
 stiffness, and Rayleigh damping ``C = a1 M + a2 K``.  Models may carry
-the element blocks they were assembled from; element-level information
-is what the hyper-reduction and element-bound machinery feeds on.
+their element blocks as one :class:`ElementSet`; element-level data is
+what the hyper-reduction and element-bound machinery feeds on.
 
 The on-disk JSON format is documented with :func:`read_model`.
 """
@@ -19,16 +19,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FormatError
-from .kernels import (
-    max_gen_eigenvalue,
-    require_positive_diagonal,
-    require_symmetric,
-)
+from .errors import ConvergenceError, FormatError
+from .kernels import require_positive_diagonal, require_psd, require_symmetric
 
 __all__ = [
     "ForceTable",
-    "ElementBlock",
+    "ElementSet",
     "FullOrderModel",
     "assemble",
     "build_string_model",
@@ -85,89 +81,102 @@ class ForceTable:
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
 
-@dataclass(frozen=True)
-class ElementBlock:
-    """One element: local stiffness, lumped local mass, global DoF map.
+@dataclass(frozen=True, eq=False)
+class ElementSet:
+    """A model's ``E`` elements of ``n`` DoFs each, stacked.
 
-    ``stiffness`` must be exactly symmetric and positive semi-definite
-    (within ``1e-10`` relative); ``mass`` holds the strictly positive
-    diagonal of the local lumped mass.  ``length`` and ``wave_speed`` are
-    optional geometric annotations used by CFL-style reporting.
+    ``dofs (E, n)``: each element's distinct, nonnegative global DoFs;
+    ``stiffness (E, n, n)``: exactly symmetric blocks, each PSD within
+    ``1e-10`` relative; ``mass (E, n)``: positive lumped-mass diagonals;
+    optional ``length``/``wave_speed (E,)`` for CFL-style reporting.
+    Validation names the first offending element.
     """
 
-    dofs: tuple
+    dofs: np.ndarray
     stiffness: np.ndarray
     mass: np.ndarray
-    length: float | None = None
-    wave_speed: float | None = None
+    length: np.ndarray | None = None
+    wave_speed: np.ndarray | None = None
 
     def __post_init__(self):
-        dofs = tuple(int(d) for d in self.dofs)
-        if len(dofs) == 0:
-            raise ValueError("element needs at least one DoF")
-        if len(set(dofs)) != len(dofs):
-            raise ValueError(f"element DoFs must be distinct, got {dofs}")
-        if any(d < 0 for d in dofs):
-            raise ValueError(f"element DoFs must be nonnegative, got {dofs}")
-        ke = require_symmetric(self.stiffness, "element stiffness")
-        me = require_positive_diagonal(self.mass, "element mass")
-        n = len(dofs)
-        if ke.shape != (n, n) or me.shape != (n,):
+        dofs = np.asarray(self.dofs)
+        ke = np.asarray(self.stiffness, dtype=float)
+        me = np.asarray(self.mass, dtype=float)
+        if not (dofs.ndim == 2 and dofs.size and dofs.dtype.kind in "iu"
+                and ke.shape == dofs.shape + dofs.shape[1:] and me.shape == dofs.shape):
             raise ValueError(
-                f"element block shapes {ke.shape}/{me.shape} do not match "
-                f"{n} DoFs"
+                f"elements need (E, n) integer DoFs, (E, n, n) stiffness, (E, n) mass, "
+                f"E, n >= 1; got {dofs.dtype} {dofs.shape}, {ke.shape}, {me.shape}"
             )
-        eigs = np.linalg.eigvalsh(ke)
-        scale = max(float(np.max(np.abs(eigs))), 1e-300)
-        if eigs[0] < -1e-10 * scale:
-            raise ValueError(
-                f"element stiffness is not positive semi-definite "
-                f"(min eigenvalue {eigs[0]:.3e})"
-            )
+        rows = np.sort(dofs, axis=1)
+        checks = [  # (flag per element, what is wrong with it)
+            ((rows[:, 1:] == rows[:, :-1]).any(axis=1), "DoFs must be distinct"),
+            (rows[:, 0] < 0, "DoFs must be nonnegative"),
+            (~np.isfinite(ke).all(axis=(1, 2)), "stiffness contains non-finite entries"),
+            ((ke != ke.transpose(0, 2, 1)).any(axis=(1, 2)),
+             "stiffness is not exactly symmetric; run symmetrize() on it first"),
+            (~(np.isfinite(me) & (me > 0.0)).all(axis=1),
+             "mass must be finite and strictly positive"),
+        ]
         for name in ("length", "wave_speed"):
-            val = getattr(self, name)
-            if val is not None and not (math.isfinite(val) and val > 0.0):
-                raise ValueError(f"element {name} must be positive, got {val}")
+            if getattr(self, name) is not None:
+                val = np.asarray(getattr(self, name), dtype=float)
+                if val.shape != dofs.shape[:1]:
+                    raise ValueError(f"element {name} shaped {val.shape} for {len(dofs)} elements")
+                checks.append((~(np.isfinite(val) & (val > 0.0)), f"{name} must be positive"))
+                object.__setattr__(self, name, val)
+        for bad, message in checks:
+            if bad.any():
+                raise ValueError(f"element {np.argmax(bad)}: element {message}")
+        require_psd(ke, "element {}: element stiffness", 1e-10)
         object.__setattr__(self, "dofs", dofs)
         object.__setattr__(self, "stiffness", ke)
         object.__setattr__(self, "mass", me)
 
-    def max_eigenvalue(self):
-        """Largest eigenvalue of the local ``inv(Me) Ke`` pencil."""
-        return max_gen_eigenvalue(self.stiffness, self.mass)
+    def __len__(self):
+        return self.dofs.shape[0]
+
+    def max_eigenvalues(self):
+        """Largest eigenvalue of each local ``inv(Me) Ke`` pencil, ``(E,)``."""
+        s = 1.0 / np.sqrt(self.mass)
+        # as kernels.max_gen_eigenvalue: s_i s_j commutes, so blocks stay symmetric
+        scaled = self.stiffness * (s[:, :, None] * s[:, None, :])
+        try:
+            return np.linalg.eigvalsh(scaled)[:, -1]
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"symmetric eigensolve did not converge: {exc}") from exc
 
 
 def assemble(elements, m, weights=None):
-    """Scatter-add element blocks into global (mass diagonal, stiffness).
+    """Scatter-add an :class:`ElementSet` into global (mass diagonal, stiffness).
 
     The global stiffness is exactly symmetric by construction: each
     element block is, and entries (i, j) and (j, i) accumulate identical
-    addend sequences in identical order.  ``weights``, if given, scales
-    each element's mass and stiffness by its factor; elements of weight
-    zero are skipped.
+    addend sequences in identical (element) order.  ``weights``, if given,
+    scales each element's mass and stiffness by its factor; elements of
+    weight zero are skipped.
     """
     if m < 1:
         raise ValueError(f"model order must be at least 1, got {m}")
+    if elements is None:
+        raise ValueError("model carries no element blocks to assemble")
+    dofs, me, ke = elements.dofs, elements.mass, elements.stiffness
+    top = dofs.max(axis=1)
+    if np.any(top >= m):
+        e = np.argmax(top >= m)
+        raise ValueError(f"element {e} references DoF {top[e]} outside a model of order {m}")
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
         if weights.shape[0] != len(elements):
             raise ValueError(f"{weights.shape[0]} weights for {len(elements)} elements")
+        keep = weights != 0.0
+        w = weights[keep]
+        dofs, me, ke = dofs[keep], w[:, None] * me[keep], w[:, None, None] * ke[keep]
     mass = np.zeros(m)
     stiffness = np.zeros((m, m))
-    for pos, element in enumerate(elements):
-        if max(element.dofs) >= m:
-            raise ValueError(
-                f"element {pos} references DoF {max(element.dofs)} "
-                f"outside a model of order {m}"
-            )
-        me, ke = element.mass, element.stiffness
-        if weights is not None:
-            if weights[pos] == 0.0:
-                continue
-            me, ke = weights[pos] * me, weights[pos] * ke
-        ix = np.asarray(element.dofs, dtype=int)
-        mass[ix] += me
-        stiffness[np.ix_(ix, ix)] += ke
+    # np.add.at is unbuffered and runs in index order: element by element
+    np.add.at(mass, dofs, me)
+    np.add.at(stiffness, (dofs[:, :, None], dofs[:, None, :]), ke)
     return mass, stiffness
 
 
@@ -177,7 +186,7 @@ class FullOrderModel:
 
     Invariants enforced at construction: strictly positive lumped mass,
     exactly symmetric PSD stiffness, finite ``a1, a2 >= 0``, and — when
-    element blocks are attached — agreement between the stored mass and
+    an :class:`ElementSet` is attached — agreement between the stored mass and
     stiffness and the scatter of the element blocks (element bounds are
     conservative only for the stiffness the elements sum to).
     """
@@ -187,7 +196,7 @@ class FullOrderModel:
     stiffness: np.ndarray
     a1: float = 0.0
     a2: float = 0.0
-    elements: tuple = ()
+    elements: ElementSet | None = None
     external_force: ForceTable | None = None
 
     def __post_init__(self):
@@ -199,20 +208,13 @@ class FullOrderModel:
                 f"mass/stiffness shapes {self.mass.shape}/{self.stiffness.shape} "
                 f"do not match order {self.m}"
             )
-        eigs = np.linalg.eigvalsh(self.stiffness)
-        scale = max(float(np.max(np.abs(eigs))), 1e-300)
-        if eigs[0] < -1e-10 * scale:
-            raise ValueError(
-                f"stiffness is not positive semi-definite "
-                f"(min eigenvalue {eigs[0]:.3e})"
-            )
+        require_psd(self.stiffness, "stiffness", 1e-10)
         if not (0.0 <= self.a1 < math.inf and 0.0 <= self.a2 < math.inf):
             raise ValueError(
                 f"Rayleigh coefficients must be nonnegative, got "
                 f"a1={self.a1}, a2={self.a2}"
             )
-        self.elements = tuple(self.elements)
-        if self.elements:
+        if self.elements is not None:
             # the scatter is scratch: compare in place, with no m x m temporaries
             scattered = assemble(self.elements, self.m)
             for name, stored, scatter in zip(
@@ -293,31 +295,20 @@ def build_string_model(
 
     el_len = length / (m - 1)
     wave_speed = el_len * math.sqrt(element_stiffness / element_mass)
-    half = 0.5 * element_mass
-    blocks = []
-    for e in range(m - 1):
-        ke = element_stiffness * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        if e == 0:
-            ke[0, 0] += boundary_factor * element_stiffness
-        if e == m - 2:
-            ke[1, 1] += boundary_factor * element_stiffness
-        blocks.append(
-            ElementBlock(
-                dofs=(e, e + 1),
-                stiffness=ke,
-                mass=np.array([half, half]),
-                length=el_len,
-                wave_speed=wave_speed,
-            )
-        )
-    mass, stiffness = assemble(blocks, m)
-    return FullOrderModel(
-        m=m,
-        mass=mass,
+    ke = element_stiffness * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    stiffness = np.tile(ke, (m - 1, 1, 1))
+    stiffness[0, 0, 0] += boundary_factor * element_stiffness
+    stiffness[-1, 1, 1] += boundary_factor * element_stiffness
+    elements = ElementSet(
+        dofs=np.column_stack((np.arange(m - 1), np.arange(1, m))),
         stiffness=stiffness,
-        a1=a1,
-        a2=a2,
-        elements=tuple(blocks),
+        mass=np.full((m - 1, 2), 0.5 * element_mass),
+        length=np.full(m - 1, el_len),
+        wave_speed=np.full(m - 1, wave_speed),
+    )
+    mass, stiffness = assemble(elements, m)
+    return FullOrderModel(
+        m=m, mass=mass, stiffness=stiffness, a1=a1, a2=a2, elements=elements
     )
 
 
@@ -362,10 +353,12 @@ def _as_int(value, what):
     return value
 
 
-def _as_list(value, what, convert=None):
-    """A JSON list, each entry through ``convert`` when one is given."""
+def _as_list(value, what, convert=None, size=None):
+    """A JSON list (of ``size`` entries if given), each through ``convert`` if given."""
     if not isinstance(value, (list, tuple)):
         raise FormatError(f"{what} must be a list, got {value!r}")
+    if size is not None and len(value) != size:
+        raise FormatError(f"{what} has {len(value)} entries, expected {size}")
     return value if convert is None else [convert(v, f"{what} entry") for v in value]
 
 
@@ -378,30 +371,22 @@ def _as_number(value, what):
 def model_to_dict(model):
     """Plain-data form of a model (see :func:`read_model` for the schema)."""
     k = model.stiffness
-    coo = []
-    for i in range(model.m):
-        for j in range(i, model.m):
-            if k[i, j] != 0.0:
-                coo.append([i, j, float(k[i, j])])
+    rows, cols = np.nonzero(np.triu(k))  # row-major, i <= j
+    coo = zip(rows.tolist(), cols.tolist(), k[rows, cols].tolist())
     doc = {
         "m": model.m,
         "mass": [float(v) for v in model.mass],
-        "stiffness_coo": coo,
+        "stiffness_coo": [list(entry) for entry in coo],
         "a1": float(model.a1),
         "a2": float(model.a2),
         "elements": [],
     }
-    for element in model.elements:
-        entry = {
-            "dofs": list(element.dofs),
-            "Ke": [float(v) for v in element.stiffness.ravel()],
-            "Me": [float(v) for v in element.mass],
-        }
-        if element.length is not None:
-            entry["length"] = float(element.length)
-        if element.wave_speed is not None:
-            entry["wave_speed"] = float(element.wave_speed)
-        doc["elements"].append(entry)
+    es = model.elements
+    if es is not None:
+        columns = {"dofs": es.dofs, "Ke": es.stiffness.reshape(len(es), -1),
+                   "Me": es.mass, "length": es.length, "wave_speed": es.wave_speed}
+        columns = {key: col.tolist() for key, col in columns.items() if col is not None}
+        doc["elements"] = [dict(zip(columns, entry)) for entry in zip(*columns.values())]
     if model.external_force is not None:
         doc["external_force"] = {
             "times": [float(t) for t in model.external_force.times],
@@ -418,9 +403,7 @@ def model_from_dict(doc):
     m = _as_int(doc["m"], "m")
     if m < 1:
         raise FormatError(f"m must be at least 1, got {m}")
-    mass = np.array(_as_list(doc["mass"], "mass", _as_number))
-    if mass.shape != (m,):
-        raise FormatError(f"mass has {mass.shape[0]} entries for order {m}")
+    mass = np.array(_as_list(doc["mass"], "mass", _as_number, size=m))
 
     stiffness = np.zeros((m, m))
     seen = set()
@@ -440,29 +423,28 @@ def model_from_dict(doc):
         stiffness[i, j] = val
         stiffness[j, i] = val
 
-    elements = []
-    for pos, entry in enumerate(_as_list(doc.get("elements", []), "elements")):
+    entries = _as_list(doc.get("elements", []), "elements")
+    columns = {key: [] for key in ("dofs", "Ke", "Me", "length", "wave_speed")}
+    for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise FormatError(f"element {pos} must be a JSON object")
         require_keys(entry, _ELEMENT_KEYS, {"dofs", "Ke", "Me"}, f"element {pos}")
-        dofs = tuple(_as_list(entry["dofs"], f"element {pos} dofs", _as_int))
-        n = len(dofs)
-        ke = np.array(_as_list(entry["Ke"], f"element {pos} Ke", _as_number))
-        if ke.size != n * n:
+        if set(entry) != set(entries[0]):
             raise FormatError(
-                f"element {pos} Ke has {ke.size} entries, expected {n * n}"
+                f"element {pos} has keys {sorted(entry)} but element 0 {sorted(entries[0])}; "
+                f"give length and wave_speed on all elements or on none"
             )
-        me = np.array(_as_list(entry["Me"], f"element {pos} Me", _as_number))
-        kwargs = {}
-        for name in ("length", "wave_speed"):
-            if name in entry:
-                kwargs[name] = _as_number(entry[name], f"element {pos} {name}")
-        try:
-            elements.append(
-                ElementBlock(dofs, ke.reshape(n, n), me, **kwargs)
-            )
-        except ValueError as exc:
-            raise FormatError(f"element {pos}: {exc}") from exc
+        shared = len(columns["dofs"][0]) if pos else None  # all have element 0's count
+        dofs = _as_list(entry["dofs"], f"element {pos} dofs", _as_int, shared)
+        if any(not 0 <= d < m for d in dofs):
+            raise FormatError(f"element {pos} has DoFs {dofs} outside a model of order {m}")
+        n = len(dofs)
+        columns["dofs"].append(dofs)
+        for key, size in (("Ke", n * n), ("Me", n)):
+            columns[key].append(_as_list(entry[key], f"element {pos} {key}", _as_number, size))
+        for key in ("length", "wave_speed"):
+            if key in entry:
+                columns[key].append(_as_number(entry[key], f"element {pos} {key}"))
 
     force = None
     if "external_force" in doc:
@@ -479,13 +461,23 @@ def model_from_dict(doc):
             raise FormatError(f"external_force: {exc}") from exc
 
     try:
+        elements = None
+        if entries:
+            shape = (len(entries), len(columns["dofs"][0]))
+            elements = ElementSet(
+                np.array(columns["dofs"], dtype=int),
+                np.array(columns["Ke"]).reshape(shape + shape[1:]),
+                np.array(columns["Me"]),
+                *(np.array(columns[key]) if columns[key] else None
+                  for key in ("length", "wave_speed")),
+            )
         return FullOrderModel(
             m=m,
             mass=mass,
             stiffness=stiffness,
             a1=_as_number(doc["a1"], "a1"),
             a2=_as_number(doc["a2"], "a2"),
-            elements=tuple(elements),
+            elements=elements,
             external_force=force,
         )
     except ValueError as exc:
@@ -515,6 +507,9 @@ def read_model(path):
         }
 
     Off-diagonal COO entries are mirrored; duplicate (i, j) pairs are a
-    format error, as is anything violating the model invariants.
+    format error, as is anything violating the model invariants.  All
+    element blocks share one DoF count, and ``length``/``wave_speed`` are
+    given on all elements or on none; a file breaking either rule is a
+    format error naming the first element that does.
     """
     return model_from_dict(read_json(path))

@@ -27,6 +27,7 @@ from .kernels import (
     gen_eig_diag_mass,
     m_orthonormalize,
     require_positive_diagonal,
+    require_psd,
     thin_svd,
 )
 from .models import ForceTable, read_json, require_keys, write_json
@@ -219,13 +220,9 @@ class ReducedModel:
                     raise ValueError(
                         f"reduced {name} marked symmetric but is not (within 1e-10)"
                     )
-            eigs = np.linalg.eigvalsh(0.5 * (self.stiffness + self.stiffness.T))
-            scale = max(float(np.max(np.abs(eigs))), 1e-300)
-            if eigs[0] < -1e-8 * scale:
-                raise ValueError(
-                    f"reduced stiffness is not positive semi-definite "
-                    f"(min eigenvalue {eigs[0]:.3e})"
-                )
+            require_psd(
+                0.5 * (self.stiffness + self.stiffness.T), "reduced stiffness", 1e-8
+            )
 
     @property
     def dim(self):

@@ -155,39 +155,31 @@ def critical_dt_system(mu_max, a1, a2, model_kind="fom"):
     return _modal_report(mu_max, a1, a2, "modal-exact", model_kind)
 
 
-def element_dt_bound(elements, a1, a2, weights=None, model_kind=None):
+def element_dt_bound(elements, a1, a2, weights=None):
     """Conservative critical step from element-level eigenvalue bounds.
 
     The largest system eigenvalue never exceeds the largest element
     eigenvalue of ``inv(Me) Ke``; with ECSW weights each element
     eigenvalue scales by its weight (zero-weight elements drop out of the
     weighted mesh and impose no constraint).  The resulting step is at
-    most the exact critical step.
+    most the exact critical step.  ``elements`` is an
+    :class:`~romstab.models.ElementSet`.
     """
-    elements = list(elements)
-    if not elements:
+    if elements is None:
         raise ValueError("need at least one element block")
-    if weights is not None:
-        xi_vec = np.asarray(getattr(weights, "xi", weights), dtype=float)
-        if xi_vec.shape[0] != len(elements):
-            raise ValueError(
-                f"{xi_vec.shape[0]} weights for {len(elements)} elements"
-            )
-        if np.any(xi_vec < 0.0):
-            raise ValueError("weights must be nonnegative")
-        method = "ecsw-bound"
-        kind = model_kind or "hrom"
+    if weights is None:
+        xi = np.ones(len(elements))
+        method, kind = "element-bound", "fom"
     else:
-        xi_vec = np.ones(len(elements))
-        method = "element-bound"
-        kind = model_kind or "fom"
-
-    mu_bound = 0.0
-    for w, element in zip(xi_vec, elements):
-        if w == 0.0:
-            continue
-        mu_bound = max(mu_bound, w * element.max_eigenvalue())
-    return _modal_report(mu_bound, a1, a2, method, kind)
+        xi = np.asarray(getattr(weights, "xi", weights), dtype=float)
+        if xi.shape[0] != len(elements):
+            raise ValueError(f"{xi.shape[0]} weights for {len(elements)} elements")
+        if np.any(xi < 0.0):
+            raise ValueError("weights must be nonnegative")
+        method, kind = "ecsw-bound", "hrom"
+    keep = xi != 0.0
+    mu_bound = np.max(xi[keep] * elements.max_eigenvalues()[keep], initial=0.0)
+    return _modal_report(float(mu_bound), a1, a2, method, kind)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .kernels import (
     spectral_radius,
     symmetrize,
 )
-from .models import ElementBlock, FullOrderModel, assemble
+from .models import ElementSet, FullOrderModel, assemble
 from .reduction import ReducedBasis, galerkin_reduce, modal_basis
 from .stability import (
     check_interlacing,
@@ -94,15 +94,16 @@ def _random_spd_pencil(rng, m, damped=True):
 
 def _random_chain(rng, m, grounded=True, a1=0.0, a2=0.0):
     """Random spring chain with per-element masses; optionally grounded at node 0."""
-    blocks = []
-    for e in range(m - 1):
-        ke = float(rng.uniform(0.5, 4.0)) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    ke, me = np.empty((m - 1, 2, 2)), np.empty((m - 1, 2))
+    for e in range(m - 1):  # per-element draws, in the order instances were frozen
+        ke[e] = float(rng.uniform(0.5, 4.0)) * np.array([[1.0, -1.0], [-1.0, 1.0]])
         if grounded and e == 0:
-            ke[0, 0] += float(rng.uniform(1.0, 5.0))
-        blocks.append(ElementBlock((e, e + 1), ke, rng.uniform(0.3, 2.0, 2)))
-    mass, stiffness = assemble(blocks, m)
+            ke[e, 0, 0] += float(rng.uniform(1.0, 5.0))
+        me[e] = rng.uniform(0.3, 2.0, 2)
+    elements = ElementSet(np.column_stack((np.arange(m - 1), np.arange(1, m))), ke, me)
+    mass, stiffness = assemble(elements, m)
     return FullOrderModel(
-        m=m, mass=mass, stiffness=stiffness, a1=a1, a2=a2, elements=tuple(blocks)
+        m=m, mass=mass, stiffness=stiffness, a1=a1, a2=a2, elements=elements
     )
 
 
@@ -266,9 +267,7 @@ def _prop_ecsw_bound(rng, trials):
         xi = np.where(rng.random(m - 1) < 0.4, 0.0, rng.uniform(0.0, 3.0, m - 1))
         operator = ecsw_weighted_operator(model, xi)
         mu_tilde = float(np.linalg.eigvalsh(symmetrize(operator))[-1])
-        bound = max(
-            float(w) * blk.max_eigenvalue() for w, blk in zip(xi, model.elements)
-        )
+        bound = float(np.max(xi * model.elements.max_eigenvalues()))
         margin = mu_tilde - bound * (1.0 + 1e-10) - 1e-12
         worst = max(worst, margin)
         if margin > 0.0:

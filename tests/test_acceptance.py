@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from romstab import (
-    ElementBlock,
+    ElementSet,
     FullOrderModel,
     IntegratorState,
     MASS_ORTHONORMAL,
@@ -454,7 +454,7 @@ def test_criterion_09_structure_preservation_split():
 def _random_chain(rng, m, grounded, rod=False):
     """Random 2-node chain; ``rod`` forces the equal half-mass split for
     which the element step equals the transit time ``l / c``."""
-    elements = []
+    kes, mes, lengths, speeds = [], [], [], []
     for e in range(m - 1):
         k_e = float(rng.uniform(0.5, 4.0))
         ke = k_e * np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -467,15 +467,19 @@ def _random_chain(rng, m, grounded, rod=False):
             me = (float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0)))
         length = float(rng.uniform(0.1, 2.0))
         total = me[0] + me[1]
-        elements.append(ElementBlock(
-            dofs=(e, e + 1), mass=me, stiffness=ke,
-            length=length, wave_speed=length * math.sqrt(k_e / total),
-        ))
+        kes.append(ke)
+        mes.append(me)
+        lengths.append(length)
+        speeds.append(length * math.sqrt(k_e / total))
+    elements = ElementSet(
+        dofs=[(e, e + 1) for e in range(m - 1)], mass=mes, stiffness=kes,
+        length=lengths, wave_speed=speeds,
+    )
     mass, stiffness = assemble(elements, m)
     return FullOrderModel(m=m, mass=mass, stiffness=stiffness,
                           a1=float(rng.uniform(0.0, 1.0)),
                           a2=float(rng.uniform(0.0, 0.5)),
-                          elements=tuple(elements))
+                          elements=elements)
 
 
 def test_criterion_10_bound_soundness():
@@ -515,7 +519,7 @@ def test_criterion_10_bound_soundness():
                       for _ in range(10)]
     for model in chains:
         dt = element_dt_bound(model.elements, 0.0, 0.0).dt_crit
-        transit = min(e.length / e.wave_speed for e in model.elements)
+        transit = float(np.min(model.elements.length / model.elements.wave_speed))
         err = abs(dt - transit) / transit
         worst_cfl = max(worst_cfl, err)
         if err > 1e-12:

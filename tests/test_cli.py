@@ -112,6 +112,14 @@ class TestTimestep:
         doc = json.loads(out)
         assert doc["dt_crit"] == pytest.approx(0.9 * base["dt_crit"], rel=1e-12)
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0"])
+    def test_scale_must_be_finite_and_positive(self, model5, capsys, scale):
+        rc = run(["timestep", model5, f"--scale={scale}"])  # "=": -inf is no flag
+        out, err = _out(capsys)
+        assert rc == 2
+        assert out == ""
+        assert "--scale must be finite and positive" in err
+
     def test_reduced_report_via_basis(self, model5, tmp_path, capsys):
         basis = tmp_path / "basis.json"
         assert run(["reduce", model5, "--modes", "0,1", "-o", str(basis)]) == 0
@@ -524,6 +532,25 @@ class TestFormatErrors:
         path.write_text(json.dumps(doc))
         rc = run(["timestep", str(path)])
         return rc, _out(capsys)[1]
+
+    def test_mixed_element_sizes(self, model5, tmp_path, capsys):
+        with open(model5, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["elements"][3].update(dofs=[2, 3, 4], Ke=np.eye(3).ravel().tolist(),
+                                  Me=[1.0, 1.0, 1.0])
+        rc, err = self._timestep_on(doc, tmp_path, capsys)
+        assert rc == 3
+        assert "element 3 dofs has 3 entries, expected 2" in err
+
+    def test_length_on_some_elements(self, model5, tmp_path, capsys):
+        with open(model5, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for element in doc["elements"][1:]:
+            del element["length"]
+        rc, err = self._timestep_on(doc, tmp_path, capsys)
+        assert rc == 3
+        assert "element 1 has keys" in err
+        assert "give length and wave_speed on all elements or on none" in err
 
     @pytest.mark.parametrize("name", ["a1", "a2"])
     def test_non_finite_rayleigh_coefficient(self, model5, tmp_path, capsys, name):

@@ -9,7 +9,7 @@ import pytest
 
 from romstab import (
     EcswWeights,
-    ElementBlock,
+    ElementSet,
     ForceTable,
     FormatError,
     FullOrderModel,
@@ -47,6 +47,7 @@ from romstab.hyper import (
     weights_from_dict,
     weights_to_dict,
 )
+from romstab.verify import _random_chain
 
 
 def _string(m=5, a1=0.0, a2=0.0, bf=99.0):
@@ -57,6 +58,17 @@ def _string(m=5, a1=0.0, a2=0.0, bf=99.0):
 def _mass_basis(rng, model, k):
     v = m_orthonormalize(rng.standard_normal((model.m, k)), model.mass)
     return ReducedBasis(v, MASS_ORTHONORMAL, mass=model.mass)
+
+
+def _loop_training_columns(model, v, q):
+    """Element-by-element ECSW training columns: the oracle for the stacked G."""
+    es = model.elements
+    g = np.zeros((v.shape[1] * q.shape[1], len(es)))
+    for e in range(len(es)):
+        ve = v[es.dofs[e]]
+        fe = es.stiffness[e] @ (ve @ q)
+        g[:, e] = (ve.T @ fe).T.ravel()
+    return g
 
 
 class TestSampleSet:
@@ -331,18 +343,29 @@ class TestEcswTraining:
         g, _ = ecsw_training_system(model, basis, snaps)
         v = basis.matrix
         q = v.T @ (model.mass[:, None] * snaps)
-        for e, element in enumerate(model.elements):
-            ix = np.asarray(element.dofs, dtype=int)
-            ve = v[ix]
-            expect = (ve.T @ (element.stiffness @ (ve @ q))).T.ravel()
-            assert np.abs(g[:, e] - expect).max() < 1e-12
+        assert np.array_equal(g, _loop_training_columns(model, v, q))
+
+    def test_columns_match_per_element_loop_exactly(self):
+        rng = np.random.default_rng(721)
+        models = [_string(5), _string(300, a1=0.1)]
+        models += [_random_chain(rng, int(rng.integers(4, 25)), bool(g)) for g in (0, 1)]
+        for model in models:
+            for k, n_s in ((1, 1), (2, 5), (4, 12)):
+                basis = _mass_basis(rng, model, k)
+                snaps = rng.standard_normal((model.m, n_s))
+                g, b = ecsw_training_system(model, basis, snaps)
+                v = basis.matrix
+                q = v.T @ (model.mass[:, None] * snaps)
+                expected = _loop_training_columns(model, v, q)
+                assert np.array_equal(g, expected)
+                assert np.array_equal(b, expected.sum(axis=1))
 
     def test_single_element_trains_to_unit_weight(self):
         ke = 3.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        element = ElementBlock(dofs=(0, 1), mass=(0.5, 0.5), stiffness=ke)
-        mass, stiffness = assemble([element], 2)
+        element = ElementSet(dofs=[[0, 1]], mass=[[0.5, 0.5]], stiffness=[ke])
+        mass, stiffness = assemble(element, 2)
         model = FullOrderModel(m=2, mass=mass, stiffness=stiffness,
-                               elements=(element,))
+                               elements=element)
         rng = np.random.default_rng(73)
         basis = _mass_basis(rng, model, 1)
         weights = ecsw_train(model, basis, rng.standard_normal((2, 3)), 0.01)
@@ -377,6 +400,10 @@ class TestEcswTraining:
         basis = _mass_basis(rng, model, 1)
         with pytest.raises(ValueError):
             ecsw_training_system(model, basis, rng.standard_normal((4, 2)))
+        with pytest.raises(ValueError, match="no element blocks"):
+            ecsw_reduce(model, np.ones(3), basis)
+        with pytest.raises(ValueError, match="no element blocks"):
+            ecsw_weighted_operator(model, np.ones(3))
 
 
 class TestEcswReduce:
@@ -399,12 +426,13 @@ class TestEcswReduce:
         basis = _mass_basis(rng, model, 2)
         xi = rng.uniform(0.5, 2.0, len(model.elements))
         rom = ecsw_reduce(model, xi, basis)
+        es = model.elements
         mass_w = np.zeros(model.m)
         stiff_w = np.zeros((model.m, model.m))
-        for w, element in zip(xi, model.elements):
-            ix = np.asarray(element.dofs, dtype=int)
-            mass_w[ix] += w * np.asarray(element.mass)
-            stiff_w[np.ix_(ix, ix)] += w * element.stiffness
+        for e in range(len(es)):
+            ix = es.dofs[e]
+            mass_w[ix] += xi[e] * es.mass[e]
+            stiff_w[np.ix_(ix, ix)] += xi[e] * es.stiffness[e]
         v = basis.matrix
         expect_c = 0.5 * (v.T @ (mass_w[:, None] * v)) + 0.1 * (v.T @ stiff_w @ v)
         assert np.abs(rom.damping - expect_c).max() < 1e-11
@@ -414,10 +442,11 @@ class TestEcswReduce:
         rng = np.random.default_rng(79)
         xi = rng.uniform(0.0, 2.0, len(model.elements))
         op = ecsw_weighted_operator(model, xi)
+        es = model.elements
         stiff_w = np.zeros((5, 5))
-        for w, element in zip(xi, model.elements):
-            ix = np.asarray(element.dofs, dtype=int)
-            stiff_w[np.ix_(ix, ix)] += w * element.stiffness
+        for e in range(len(es)):
+            ix = es.dofs[e]
+            stiff_w[np.ix_(ix, ix)] += xi[e] * es.stiffness[e]
         inv_sqrt = 1.0 / np.sqrt(model.mass)
         assert np.abs(op - stiff_w * np.outer(inv_sqrt, inv_sqrt)).max() < 1e-12
 

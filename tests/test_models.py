@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from romstab import (
-    ElementBlock,
+    ElementSet,
     ForceTable,
     FormatError,
     FullOrderModel,
@@ -15,7 +15,36 @@ from romstab import (
     read_model,
     write_model,
 )
+from romstab.kernels import max_gen_eigenvalue
 from romstab.models import model_from_dict, model_to_dict
+from romstab.verify import _random_chain
+
+
+def _loop_assemble(elements, m, weights=None):
+    """Element-by-element scatter: the oracle for the stacked ``assemble``."""
+    mass = np.zeros(m)
+    stiffness = np.zeros((m, m))
+    for e in range(len(elements)):
+        me, ke = elements.mass[e], elements.stiffness[e]
+        if weights is not None:
+            if weights[e] == 0.0:
+                continue
+            me, ke = weights[e] * me, weights[e] * ke
+        ix = elements.dofs[e]
+        mass[ix] += me
+        stiffness[np.ix_(ix, ix)] += ke
+    return mass, stiffness
+
+
+def _oracle_models():
+    """String models (m = 5 and 300) and verify-style random chains."""
+    models = [build_string_model(m, element_mass=1.0, element_stiffness=10.0,
+                                 length=1.0, boundary_factor=99.0)
+              for m in (5, 300)]
+    rng = np.random.default_rng(23)
+    for grounded in (True, False, True, False):
+        models.append(_random_chain(rng, int(rng.integers(3, 25)), grounded))
+    return models
 
 
 class TestForceTable:
@@ -55,32 +84,66 @@ class TestForceTable:
             assert np.array_equal(table.at(t), expected)
 
 
-class TestElementBlock:
+class TestElementSet:
     def test_max_eigenvalue_of_rod_pair(self):
         """2-DoF spring element: eigenvalues of inv(Me) Ke are {0, 4 K / M}
         with M the total element mass (here 2, half per node)."""
         ke = 10.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        me = np.array([1.0, 1.0])
-        block = ElementBlock((0, 1), ke, me)
-        assert block.max_eigenvalue() == pytest.approx(20.0, rel=1e-12)
+        eigs = ElementSet([[0, 1]], [ke], [[1.0, 1.0]]).max_eigenvalues()
+        assert eigs.shape == (1,)
+        assert eigs[0] == pytest.approx(20.0, rel=1e-12)
+
+    def test_max_eigenvalues_match_per_element_oracle(self):
+        for model in _oracle_models():
+            es = model.elements
+            expected = [max_gen_eigenvalue(es.stiffness[e], es.mass[e])
+                        for e in range(len(es))]
+            assert np.array_equal(es.max_eigenvalues(), expected)
 
     def test_rejects_indefinite_stiffness(self):
         with pytest.raises(ValueError):
-            ElementBlock((0, 1), np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2))
+            ElementSet([[0, 1]], [[[0.0, 1.0], [1.0, 0.0]]], [np.ones(2)])
 
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(ValueError):
-            ElementBlock((0, 1), np.eye(2), np.array([1.0, 0.0]))
+            ElementSet([[0, 1]], [np.eye(2)], [[1.0, 0.0]])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("dofs", [[0, 1], [2, 2], [3, 3]], "element 1: element DoFs must be distinct"),
+        ("dofs", [[0, 1], [1, 2], [-1, 3]], "element 2: element DoFs must be nonnegative"),
+        ("dofs", [[0.0, 1.0]] * 3, "need \\(E, n\\) integer DoFs"),
+        ("stiffness", [np.eye(2), [[1.0, 0.5], [0.0, 1.0]], np.eye(2)],
+         "element 1: element stiffness is not exactly symmetric"),
+        ("stiffness", [np.eye(2), np.eye(2), [[1.0, 2.0], [2.0, 1.0]]],
+         "element 2: element stiffness is not positive semi-definite"),
+        ("stiffness", [np.eye(2), np.full((2, 2), np.nan), np.eye(2)],
+         "element 1: element stiffness contains non-finite"),
+        ("mass", [[1.0, 1.0], [1.0, -2.0], [0.0, 1.0]],
+         "element 1: element mass must be finite and strictly positive"),
+        ("mass", [[1.0, 1.0], [1.0, 1.0]], "\\(E, n\\) mass"),
+        ("length", [1.0, 0.0, 1.0], "element 1: element length must be positive"),
+        ("wave_speed", [1.0, 1.0, np.inf], "element 2: element wave_speed must be"),
+        ("wave_speed", [1.0, 1.0], "wave_speed shaped \\(2,\\) for 3 elements"),
+    ])
+    def test_validation_names_first_offending_element(self, field, value, message):
+        fields = {"dofs": [[0, 1], [1, 2], [2, 3]], "stiffness": [np.eye(2)] * 3,
+                  "mass": np.ones((3, 2))}
+        fields[field] = value
+        with pytest.raises(ValueError, match=message):
+            ElementSet(**fields)
+
+    def test_rejects_empty_and_dofless_sets(self):
+        with pytest.raises(ValueError, match="E, n >= 1"):
+            ElementSet(np.zeros((0, 2), dtype=int), np.zeros((0, 2, 2)), np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="E, n >= 1"):
+            ElementSet(np.zeros((2, 0), dtype=int), np.zeros((2, 0, 0)), np.zeros((2, 0)))
 
 
 class TestAssemble:
     def test_two_element_chain_by_hand(self):
         k1 = 2.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
         k2 = 3.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        blocks = [
-            ElementBlock((0, 1), k1, np.array([1.0, 1.0])),
-            ElementBlock((1, 2), k2, np.array([2.0, 2.0])),
-        ]
+        blocks = ElementSet([[0, 1], [1, 2]], [k1, k2], [[1.0, 1.0], [2.0, 2.0]])
         mass, stiffness = assemble(blocks, 3)
         assert np.array_equal(mass, [1.0, 3.0, 2.0])
         expected = np.array([
@@ -92,25 +155,41 @@ class TestAssemble:
 
     def test_result_exactly_symmetric(self):
         rng = np.random.default_rng(0)
-        blocks = []
+        ke, me = [], []
         for e in range(6):
-            ke = float(rng.uniform(0.5, 2.0)) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-            blocks.append(ElementBlock((e, e + 1), ke, rng.uniform(0.5, 2.0, 2)))
+            ke.append(float(rng.uniform(0.5, 2.0)) * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+            me.append(rng.uniform(0.5, 2.0, 2))
+        blocks = ElementSet([[e, e + 1] for e in range(6)], ke, me)
         _, stiffness = assemble(blocks, 7)
         assert np.array_equal(stiffness, stiffness.T)
 
     def test_weights_scale_elements_and_skip_zeros(self):
         k1 = 2.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        blocks = [
-            ElementBlock((0, 1), k1, np.array([1.0, 1.0])),
-            ElementBlock((1, 2), 3.0 * k1, np.array([2.0, 2.0])),
-        ]
+        blocks = ElementSet([[0, 1], [1, 2]], [k1, 3.0 * k1], [[1.0, 1.0], [2.0, 2.0]])
         mass, stiffness = assemble(blocks, 3, weights=[0.5, 0.0])
         assert np.array_equal(mass, [0.5, 0.5, 0.0])
         assert np.array_equal(stiffness[:2, :2], 0.5 * k1)
         assert not stiffness[2].any()
         with pytest.raises(ValueError, match="3 weights for 2 elements"):
             assemble(blocks, 3, weights=[1.0, 1.0, 1.0])
+
+    def test_matches_per_element_loop_exactly(self):
+        rng = np.random.default_rng(31)
+        for model in _oracle_models():
+            es, m = model.elements, model.m
+            for got, expected in zip(assemble(es, m), _loop_assemble(es, m)):
+                assert np.array_equal(got, expected)
+            xi = rng.uniform(0.0, 2.0, len(es))
+            xi[rng.random(len(es)) < 0.4] = 0.0
+            xi[0] = 0.0
+            for got, expected in zip(assemble(es, m, weights=xi),
+                                     _loop_assemble(es, m, weights=xi)):
+                assert np.array_equal(got, expected)
+
+    def test_rejects_dof_outside_model(self):
+        blocks = ElementSet([[0, 1], [1, 2], [3, 1]], [np.eye(2)] * 3, np.ones((3, 2)))
+        with pytest.raises(ValueError, match="element 2 references DoF 3"):
+            assemble(blocks, 3)
 
 
 class TestStringModel:
@@ -150,9 +229,8 @@ class TestStringModel:
         model = build_string_model(4, element_mass=2.0, element_stiffness=8.0,
                                    length=0.5, boundary_factor=0.0)
         el_len = 0.5 / 3.0
-        for block in model.elements:
-            assert block.length == pytest.approx(el_len, rel=1e-15)
-            assert block.wave_speed == pytest.approx(el_len * 2.0, rel=1e-15)
+        assert model.elements.length == pytest.approx([el_len] * 3, rel=1e-15)
+        assert model.elements.wave_speed == pytest.approx([el_len * 2.0] * 3, rel=1e-15)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -236,12 +314,9 @@ class TestModelFile:
         assert np.array_equal(back.mass, model.mass)
         assert np.array_equal(back.stiffness, model.stiffness)
         assert back.a1 == model.a1 and back.a2 == model.a2
-        assert len(back.elements) == len(model.elements)
-        for ours, theirs in zip(model.elements, back.elements):
-            assert ours.dofs == theirs.dofs
-            assert np.array_equal(ours.stiffness, theirs.stiffness)
-            assert np.array_equal(ours.mass, theirs.mass)
-            assert ours.length == theirs.length
+        ours, theirs = model.elements, back.elements
+        for name in ("dofs", "stiffness", "mass", "length", "wave_speed"):
+            assert np.array_equal(getattr(ours, name), getattr(theirs, name))
 
     def test_force_table_round_trip(self, tmp_path):
         table = ForceTable(np.array([0.0, 1.0]), np.array([[1.0, 0.0], [0.0, 2.0]]))
@@ -306,6 +381,58 @@ class TestModelFile:
         path.write_text(json.dumps(doc))  # json writes the bare token NaN
         with pytest.raises(FormatError, match="Rayleigh coefficients"):
             read_model(path)
+
+    def test_stiffness_coo_matches_upper_triangle_loop(self):
+        for model in [self._model()] + _oracle_models():
+            k = model.stiffness
+            expected = [[i, j, float(k[i, j])] for i in range(model.m)
+                        for j in range(i, model.m) if k[i, j] != 0.0]
+            coo = model_to_dict(model)["stiffness_coo"]
+            assert coo == expected
+            assert all(type(i) is int and type(j) is int and type(v) is float
+                       for i, j, v in coo)
+
+    def test_model_without_elements_round_trips(self, tmp_path):
+        model = FullOrderModel(m=2, mass=np.ones(2), stiffness=np.eye(2))
+        assert model_to_dict(model)["elements"] == []
+        path = tmp_path / "bare.json"
+        write_model(model, path)
+        assert read_model(path).elements is None
+
+    def test_mixed_element_sizes_rejected(self):
+        doc = model_to_dict(self._model())
+        doc["elements"][2].update(dofs=[1, 2, 3], Ke=np.eye(3).ravel().tolist(),
+                                  Me=[1.0, 1.0, 1.0])
+        with pytest.raises(FormatError, match="element 2 dofs has 3 entries, expected 2"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("dof", [4, -1, 10**20, -10**20])
+    def test_element_dof_outside_model_rejected(self, dof):
+        doc = model_to_dict(self._model())
+        doc["elements"][1]["dofs"] = [1, dof]
+        with pytest.raises(FormatError, match="element 1 has DoFs .* outside a model "
+                                              "of order 4"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("name", ["length", "wave_speed"])
+    @pytest.mark.parametrize("pos", [0, 2])
+    def test_annotation_on_some_elements_rejected(self, name, pos):
+        doc = model_to_dict(self._model())
+        del doc["elements"][pos][name]
+        pos = max(pos, 1)
+        with pytest.raises(FormatError, match=f"element {pos} has keys .* give length "
+                                              f"and wave_speed on all elements or on none"):
+            model_from_dict(doc)
+
+    def test_element_errors_name_the_element(self):
+        doc = model_to_dict(self._model())
+        doc["elements"][2]["Ke"] = [1.0, 2.0, 2.0, 1.0]
+        with pytest.raises(FormatError, match="element 2: element stiffness is not "
+                                              "positive semi-definite"):
+            model_from_dict(doc)
+        doc["elements"][2]["Ke"] = [1.0, 2.0, 2.0]
+        with pytest.raises(FormatError, match="element 2 Ke has 3 entries"):
+            model_from_dict(doc)
 
     def test_non_json_file(self, tmp_path):
         path = tmp_path / "junk.json"

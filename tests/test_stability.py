@@ -38,8 +38,10 @@ from romstab import (
     verify_rom_dt_dominance,
 )
 from romstab.hyper import SampledModel, sampled_step_matrix
+from romstab.kernels import max_gen_eigenvalue
 from romstab.reduction import ReducedModel
 from romstab.stability import _bisect_critical_dt, _step_radius
+from romstab.verify import _random_chain
 
 
 def _string(m=5, a1=0.0, a2=0.0, bf=99.0, K=10.0):
@@ -179,7 +181,7 @@ class TestElementBound:
         model = build_string_model(7, element_mass=2.0, element_stiffness=8.0,
                                    length=0.5, boundary_factor=0.0)
         bound = element_dt_bound(model.elements, 0.0, 0.0)
-        transit = min(e.length / e.wave_speed for e in model.elements)
+        transit = float(np.min(model.elements.length / model.elements.wave_speed))
         assert bound.dt_crit == pytest.approx(transit, rel=1e-12)
         assert transit == pytest.approx(math.sqrt(2.0 / 8.0), rel=1e-12)
 
@@ -210,12 +212,36 @@ class TestElementBound:
     def test_validation(self):
         model = _string(4)
         with pytest.raises(ValueError):
-            element_dt_bound([], 0.0, 0.0)
+            element_dt_bound(None, 0.0, 0.0)
         with pytest.raises(ValueError):
             element_dt_bound(model.elements, 0.0, 0.0, weights=np.ones(2))
         with pytest.raises(ValueError):
             element_dt_bound(model.elements, 0.0, 0.0,
                              weights=-np.ones(len(model.elements)))
+
+    def test_reports_match_per_element_loop_exactly(self):
+        """Both reports equal the old element-by-element maximum, bit for bit."""
+        rng = np.random.default_rng(32)
+        models = [_string(5, a1=0.2, a2=0.01), _string(300, a1=0.2, a2=0.01)]
+        models += [_random_chain(rng, int(rng.integers(3, 25)), bool(g), 0.3, 0.02)
+                   for g in (0, 1, 0, 1)]
+        for model in models:
+            es = model.elements
+            xi = rng.uniform(0.0, 2.0, len(es))
+            xi[rng.random(len(es)) < 0.4] = 0.0
+            xi[-1] = 0.0
+            for weights in (None, xi):
+                w = np.ones(len(es)) if weights is None else weights
+                mu = 0.0
+                for e in range(len(es)):
+                    if w[e] != 0.0:
+                        mu = max(mu, w[e] * max_gen_eigenvalue(es.stiffness[e], es.mass[e]))
+                report = element_dt_bound(es, model.a1, model.a2, weights=weights)
+                expected = critical_dt_system(mu, model.a1, model.a2)
+                assert report.mu_max == mu
+                assert report.dt_crit == expected.dt_crit
+                assert report.xi == expected.xi
+                assert report.model_kind == ("fom" if weights is None else "hrom")
 
 
 class TestInterlacing:
