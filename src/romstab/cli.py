@@ -265,7 +265,8 @@ def cmd_hyper(ns):
     elif method == "deim":
         if opts["snapshots"] is None or opts["k_force"] is None:
             raise ValueError("--method deim requires --snapshots and --k-force")
-        forces = model.stiffness @ _read_snapshots(opts["snapshots"], model)
+        op = model.operator
+        forces = op.rows_times(op.stiffness, _read_snapshots(opts["snapshots"], model))
         u, _, _ = thin_svd(forces)
         if opts["k_force"] > u.shape[1]:
             raise ValueError(

@@ -106,12 +106,10 @@ class SampleSet:
                 f"collocation DoFs must lie in [0, {model.m - 1}], got {coll}"
             )
         rows = np.asarray(coll, dtype=int)
-
-        def reach(matrix):
-            touched = np.flatnonzero((matrix[rows] != 0.0).any(axis=0))
-            return tuple(np.union1d(rows, touched).tolist())
-
-        return cls(coll, reach(model.damping), reach(model.stiffness))
+        op = model.operator
+        pos, _ = op.gather(rows)
+        touched = [op.indices[pos][data[pos] != 0.0] for data in (op.damping, op.stiffness)]
+        return cls(coll, *(tuple(np.union1d(rows, t).tolist()) for t in touched))
 
 
 @dataclass(frozen=True)
@@ -146,8 +144,9 @@ class EcswWeights:
 def _check_reach(model, samples):
     """A sampled force row must not touch DoFs outside the declared reach.
 
-    The error names the first offending row in collocation order (its
-    damping row before its stiffness row) and the DoFs it touches outside.
+    It scans the sampled rows' nonzeros.  The error names the first
+    offending row in collocation order (its damping row before its
+    stiffness row) and the DoFs it touches outside.
     """
     if samples.collocation and max(samples.collocation) >= model.m:
         raise ValueError(
@@ -155,20 +154,22 @@ def _check_reach(model, samples):
             f"order {model.m}"
         )
     rows = np.asarray(samples.collocation, dtype=int)
-    dofs = np.arange(model.m)
-    damping_out = (model.damping[rows] != 0.0) & ~np.isin(dofs, samples.damping_reach)
-    stiffness_out = (model.stiffness[rows] != 0.0) & ~np.isin(
-        dofs, samples.stiffness_reach
-    )
-    bad = np.flatnonzero(damping_out.any(axis=1) | stiffness_out.any(axis=1))
-    if bad.size:
-        r = bad[0]
-        if damping_out[r].any():
+    op = model.operator
+    pos, counts = op.gather(rows)
+    cols = op.indices[pos]
+    damping_out = (op.damping[pos] != 0.0) & ~np.isin(cols, samples.damping_reach)
+    stiffness_out = (op.stiffness[pos] != 0.0) & ~np.isin(cols, samples.stiffness_reach)
+    bad = damping_out | stiffness_out
+    if bad.any():
+        segment = np.repeat(np.arange(rows.size), counts)  # row by row, collocation order
+        r = segment[np.argmax(bad)]
+        in_row = segment == r
+        if (damping_out & in_row).any():
             name, out = "damping", damping_out
         else:
             name, out = "stiffness", stiffness_out
         raise ValueError(
-            f"{name} row {rows[r]} touches DoFs {np.flatnonzero(out[r]).tolist()} "
+            f"{name} row {rows[r]} touches DoFs {cols[out & in_row].tolist()} "
             f"outside the declared {name} reach"
         )
 
@@ -210,17 +211,14 @@ def deim_points(force_basis):
 
 def _sampled_blocks(model, basis, samples):
     """Sampled rows ``P.T V``, ``P.T C V`` and ``P.T K V``, the latter two
-    read through the declared reaches only."""
+    from nonzeros that :func:`_check_reach` keeps inside the reaches."""
     _check_reach(model, samples)
     v = basis.matrix
     if basis.m != model.m:
         raise ValueError(f"basis has {basis.m} rows for model order {model.m}")
     rows = np.asarray(samples.collocation, dtype=int)
-    dr = np.asarray(samples.damping_reach, dtype=int)
-    zr = np.asarray(samples.stiffness_reach, dtype=int)
-    damping_rows = model.damping[np.ix_(rows, dr)] @ v[dr]
-    stiffness_rows = model.stiffness[np.ix_(rows, zr)] @ v[zr]
-    return rows, v[rows], damping_rows, stiffness_rows
+    op = model.operator
+    return rows, v[rows], op.rows_times(op.damping, v, rows), op.rows_times(op.stiffness, v, rows)
 
 
 def _require_full_rank(a, what):

@@ -96,12 +96,6 @@ def cd_step(model, state, dt):
     return replace(state, x=x, v_half=v_half, t=state.t + dt, n=state.n + 1)
 
 
-def _step_count(t_end, dt):
-    # Exact multiples of dt land exactly; anything else rounds down so the
-    # run never oversteps t_end.
-    return int(np.floor(t_end / dt + 1e-9))
-
-
 def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
     """Step from ``t = 0`` to ``t_end`` at constant ``dt``, recording states.
 
@@ -110,7 +104,7 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
     stops being finite or ``norm(x)`` exceeds ``blowup * max(1, norm(x0))``.
 
     Returns a :class:`Trajectory`; divergence is reported on the
-    trajectory, not raised.
+    trajectory, not raised.  More than 1e9 steps is a ``ValueError``.
     """
     for name, value in (("dt", dt), ("t_end", t_end), ("blowup", blowup)):
         if not math.isfinite(value):
@@ -123,6 +117,13 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
         raise ValueError(f"record_every must be at least 1, got {record_every}")
     if blowup <= 0.0:
         raise ValueError(f"blowup must be positive, got {blowup}")
+    # exact multiples of dt land exactly; anything else rounds down, so the
+    # run never oversteps t_end (the limit also catches an overflow to inf)
+    n_steps = t_end / dt + 1e-9
+    if not n_steps <= 1e9:
+        raise ValueError(f"t_end={t_end} and dt={dt} ask for {t_end / dt:.3g} steps; "
+                         "at most 1e9 are allowed")
+    n_steps = int(n_steps)
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if x0.shape != (model.dim,) or v0.shape != (model.dim,):
@@ -137,7 +138,6 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
     times, states = [t], [x0.copy()]
     diverged, divergence_step = False, None
 
-    n_steps = _step_count(t_end, dt)
     for n in range(1, n_steps + 1):
         x, v_half, rows = advance(model, x, v_half, t, dt, rows)
         t = t + dt

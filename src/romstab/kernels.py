@@ -77,7 +77,7 @@ def require_positive_diagonal(d, name="diagonal"):
 
 
 def require_psd(a, name, rtol):
-    """Require ``lambda_min >= -rtol * max |lambda|`` of symmetric ``a``.
+    """Require ``lambda_min >= -rtol * max |lambda|`` of symmetric ``a``; return the eigenvalues.
 
     A stack ``(E, n, n)`` is judged matrix by matrix in one ``eigvalsh``;
     a ``{}`` in ``name`` receives the index of the first failure.
@@ -92,6 +92,7 @@ def require_psd(a, name, rtol):
             f"{name.format(i)} is not positive semi-definite "
             f"(min eigenvalue {lowest.flat[i]:.3e})"
         )
+    return eigs
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,9 @@ stiffness, and Rayleigh damping ``C = a1 M + a2 K``.  Models may carry
 their element blocks as one :class:`ElementSet`; element-level data is
 what the hyper-reduction and element-bound machinery feeds on.
 
+The stiffness is stored dense; the full-order force, sampled rows and
+reaches read their nonzeros only, from :attr:`FullOrderModel.operator`.
+
 The on-disk JSON format is documented with :func:`read_model`.
 """
 
@@ -25,6 +28,7 @@ from .kernels import require_positive_diagonal, require_psd, require_symmetric
 __all__ = [
     "ForceTable",
     "ElementSet",
+    "RowSparse",
     "FullOrderModel",
     "assemble",
     "build_string_model",
@@ -89,7 +93,9 @@ class ElementSet:
     ``stiffness (E, n, n)``: exactly symmetric blocks, each PSD within
     ``1e-10`` relative; ``mass (E, n)``: positive lumped-mass diagonals;
     optional ``length``/``wave_speed (E,)`` for CFL-style reporting.
-    Validation names the first offending element.
+    Validation names the first offending element.  ``scatter_is_psd``
+    tells that the Weyl bound ``sum_e max(0, -lmin_e) <= 1e-10 (max_e
+    lmax_e - that sum)`` holds, so that any exact scatter of the blocks is PSD.
     """
 
     dofs: np.ndarray
@@ -128,7 +134,10 @@ class ElementSet:
         for bad, message in checks:
             if bad.any():
                 raise ValueError(f"element {np.argmax(bad)}: element {message}")
-        require_psd(ke, "element {}: element stiffness", 1e-10)
+        eigs = require_psd(ke, "element {}: element stiffness", 1e-10)
+        negative = float(np.maximum(-eigs[:, 0], 0.0).sum())
+        psd = negative <= 1e-10 * (float(eigs[:, -1].max()) - negative)
+        object.__setattr__(self, "scatter_is_psd", psd)
         object.__setattr__(self, "dofs", dofs)
         object.__setattr__(self, "stiffness", ke)
         object.__setattr__(self, "mass", me)
@@ -180,6 +189,31 @@ def assemble(elements, m, weights=None):
     return mass, stiffness
 
 
+@dataclass(frozen=True, eq=False)
+class RowSparse:
+    """Stiffness and damping on the row-major pattern of ``K`` plus the diagonal
+    (no row is empty): ``row``/``indices`` hold each nonzero's row and column,
+    ``indptr`` each row's first nonzero.  ``damping`` is ``a2 k_ij`` plus ``a1 m_i``
+    on the diagonal, the dense damping's arithmetic, so it matches that bit for bit."""
+
+    indptr: np.ndarray
+    row: np.ndarray
+    indices: np.ndarray
+    stiffness: np.ndarray
+    damping: np.ndarray
+
+    def gather(self, rows):
+        """Positions of the nonzeros of ``rows``, row after row, and each row's count."""
+        first, counts = self.indptr[rows], np.diff(self.indptr)[rows]
+        starts = np.cumsum(counts) - counts  # where each row's run begins in the result
+        return np.arange(counts.sum()) + np.repeat(first - starts, counts), counts
+
+    def rows_times(self, data, v, rows=None):
+        """Rows ``rows`` (default all) of ``A v``, ``A`` holding ``data``: a segment sum."""
+        pos, counts = self.gather(np.arange(self.indptr.size - 1) if rows is None else rows)
+        return np.add.reduceat(data[pos, None] * v[self.indices[pos]], np.cumsum(counts) - counts)
+
+
 @dataclass
 class FullOrderModel:
     """Assembled second-order model with Rayleigh damping.
@@ -188,7 +222,8 @@ class FullOrderModel:
     exactly symmetric PSD stiffness, finite ``a1, a2 >= 0``, and — when
     an :class:`ElementSet` is attached — agreement between the stored mass and
     stiffness and the scatter of the element blocks (element bounds are
-    conservative only for the stiffness the elements sum to).
+    conservative only for the stiffness the elements sum to).  The dense
+    PSD check is skipped for an exact scatter of ``scatter_is_psd`` elements.
     """
 
     m: int
@@ -208,12 +243,12 @@ class FullOrderModel:
                 f"mass/stiffness shapes {self.mass.shape}/{self.stiffness.shape} "
                 f"do not match order {self.m}"
             )
-        require_psd(self.stiffness, "stiffness", 1e-10)
         if not (0.0 <= self.a1 < math.inf and 0.0 <= self.a2 < math.inf):
             raise ValueError(
                 f"Rayleigh coefficients must be nonnegative, got "
                 f"a1={self.a1}, a2={self.a2}"
             )
+        exact = False
         if self.elements is not None:
             # the scatter is scratch: compare in place, with no m x m temporaries
             scattered = assemble(self.elements, self.m)
@@ -228,6 +263,9 @@ class FullOrderModel:
                         f"stored {name} differs from the scatter of the element "
                         f"{name}es; the element decomposition is inconsistent"
                     )
+                exact = np.max(scatter) == 0.0  # the stiffness's verdict comes last
+        if not (exact and self.elements.scatter_is_psd):
+            require_psd(self.stiffness, "stiffness", 1e-10)
         if self.external_force is not None:
             if self.external_force.values.shape[1] != self.m:
                 raise ValueError(
@@ -242,6 +280,17 @@ class FullOrderModel:
         c[np.diag_indices(self.m)] += self.a1 * self.mass
         return c
 
+    @cached_property
+    def operator(self):
+        """Stiffness and damping as one :class:`RowSparse`, built on first use."""
+        pattern = (self.stiffness != 0.0) | np.eye(self.m, dtype=bool)
+        row, col = np.divmod(np.flatnonzero(pattern), self.m)  # row-major
+        stiffness = self.stiffness[row, col]
+        damping = self.a2 * stiffness
+        damping[row == col] += self.a1 * self.mass
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=self.m))))
+        return RowSparse(indptr, row, col, stiffness, damping)
+
     # -- interface consumed by the time integrator ------------------------
 
     @property
@@ -252,7 +301,12 @@ class FullOrderModel:
         return f / self.mass
 
     def force_at(self, x, v_half, t):
-        f = -self.damping @ v_half - self.stiffness @ x
+        # -C v - K x = -K (x + a2 v) - a1 M v: one bincount over the nonzeros of K
+        op = self.operator
+        y = x + self.a2 * v_half
+        f = -np.bincount(op.row, op.stiffness * y[op.indices], minlength=self.m)
+        if self.a1:
+            f -= (self.a1 * self.mass) * v_half
         if self.external_force is not None:
             f = f + self.external_force.at(t)
         return f

@@ -19,6 +19,7 @@ and is the flavor the stability results are stated for.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -235,16 +236,21 @@ class ReducedModel:
 
     # -- interface consumed by the time integrator ------------------------
 
-    def mass_inverse_apply(self, f):
-        if self.mass_is_identity:
-            return np.array(f, dtype=float)
+    @cached_property
+    def mass_inverse(self):
+        """``inv(M_r)``, formed once (a singular mass raises ``ValueError``)."""
         try:
-            return np.linalg.solve(self.mass, f)
+            return np.linalg.inv(self.mass)
         except np.linalg.LinAlgError as exc:
             raise ValueError(
                 f"reduced mass matrix is singular ({exc}); the sampling does "
                 f"not resolve the basis"
             ) from exc
+
+    def mass_inverse_apply(self, f):
+        if self.mass_is_identity:
+            return np.array(f, dtype=float)
+        return self.mass_inverse @ f
 
     def force_at(self, x, v_half, t):
         return self.reduced_load(t) - self.damping @ v_half - self.stiffness @ x
@@ -286,10 +292,11 @@ def galerkin_reduce(model, basis):
             f"basis has {basis.m} rows for a model of order {model.m}"
         )
     mass_r, identity = galerkin_mass(model, basis)
+    op = model.operator
     return ReducedModel(
         mass=mass_r,
-        damping=v.T @ (model.damping @ v),
-        stiffness=v.T @ (model.stiffness @ v),
+        damping=v.T @ op.rows_times(op.damping, v),
+        stiffness=v.T @ (model.stiffness @ v),  # dense: keeps the reported step's digits
         provenance="galerkin",
         symmetric=True,
         basis=basis,

@@ -123,7 +123,7 @@ def frozen_deim_instance(seed=51, m=6, n_modes=2):
     model = _random_chain(rng, m, grounded=True)
     basis = modal_basis(model, list(range(n_modes)))
     snapshots = rng.standard_normal((m, 2 * n_modes))
-    forces = model.stiffness @ snapshots
+    forces = model.operator.rows_times(model.operator.stiffness, snapshots)
     u, _, _ = np.linalg.svd(forces, full_matrices=False)
     force_basis = u[:, :n_modes]
     points = deim_points(force_basis)

@@ -361,6 +361,20 @@ class TestIntegrate:
         assert not path.exists()
 
 
+    @pytest.mark.parametrize("args", [
+        ["--dt", "5e-324", "--t-end", "1e-300"],
+        ["--t-end", "1e300", "--dt", "5e-324"],
+        ["--dt", "1e-3", "--steps", "2000000000"],
+    ])
+    def test_too_many_steps_is_usage_error(self, model5, tmp_path, capsys, args):
+        path = tmp_path / "x.csv"
+        rc = run(["integrate", model5, "-o", str(path)] + args)
+        _, err = _out(capsys)
+        assert rc == 2
+        assert "t_end=" in err and "dt=" in err and "at most 1e9" in err
+        assert not path.exists()
+
+
 class TestVerify:
     def test_small_suite_passes(self, capsys):
         rc = run(["verify", "--trials", "2"])

@@ -6,6 +6,8 @@ with the ghost-point start provides a second, structurally different
 cross-check.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,24 @@ class TestIntegrate:
         args = {"dt": 0.1, "t_end": 1.0, "blowup": 1e6, name: value}
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             integrate(_scalar_model(1.0), [1.0], [0.0], **args)
+
+    @pytest.mark.parametrize("t_end, dt, steps", [
+        (1e-300, 5e-324, "2.02e+23"),
+        (1e300, 5e-324, "inf"),
+        (1.5e9, 1.0, "1.5e+09"),
+    ])
+    def test_rejects_more_than_a_billion_steps(self, monkeypatch, t_end, dt, steps):
+        model = _scalar_model(1.0)
+        monkeypatch.setattr(model, "force_at", None)  # no step may run
+        message = f"t_end={t_end} and dt={dt} ask for {steps} steps; at most 1e9"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            integrate(model, [1.0], [0.0], t_end=t_end, dt=dt)
+
+    def test_a_billion_steps_pass_the_check(self, monkeypatch):
+        model = _scalar_model(1.0)
+        monkeypatch.setattr(model, "force_at", None)  # the first step raises
+        with pytest.raises(TypeError):
+            integrate(model, [1.0], [0.0], t_end=1e9, dt=1.0)
 
     def test_matches_spectral_radius_prediction(self):
         """Long-run boundedness agrees with rho(A) on both sides of 1."""

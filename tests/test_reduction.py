@@ -222,6 +222,26 @@ class TestReducedModelValidation:
                          stiffness=k, provenance="galerkin",
                          symmetric=True, basis=self._basis())
 
+    def test_mass_inverse_is_formed_once_and_matches_a_solve(self, monkeypatch):
+        mass = np.array([[2.0, 0.5], [0.5, 1.0]])
+        rom = ReducedModel(mass=mass, damping=np.zeros((2, 2)), stiffness=np.eye(2),
+                           provenance="projected-collocation", symmetric=False,
+                           basis=self._basis())
+        f = np.array([0.3, -1.7])
+        first = rom.mass_inverse_apply(f)
+        assert np.max(np.abs(first - np.linalg.solve(mass, f))) <= 1e-15 * np.max(np.abs(first))
+        monkeypatch.setattr(np.linalg, "inv", None)  # a second factorization would fail
+        assert np.array_equal(rom.mass_inverse_apply(f), first)
+
+    def test_singular_mass_raises_on_use(self):
+        rom = ReducedModel(mass=np.array([[1.0, 1.0], [1.0, 1.0]]), damping=np.zeros((2, 2)),
+                           stiffness=np.eye(2), provenance="projected-collocation",
+                           symmetric=False, basis=self._basis())
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^reduced mass matrix is singular \(Singular "
+                                                 r"matrix\); the sampling does not resolve the basis$"):
+                rom.mass_inverse_apply(np.ones(2))
+
 
 class TestReconstruct:
     def test_vector_and_trajectory_forms(self):
