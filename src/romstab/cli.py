@@ -33,7 +33,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import FormatError, RomStabError
+from .errors import (ConvergenceError, FormatError, InfeasibleError, RankDeficiencyError,
+                     RomStabError)
 from .hyper import (
     SampleSet,
     deim_points,
@@ -515,6 +516,9 @@ def run(argv=None):
     except (FormatError, OSError) as exc:
         print(f"romstab: {exc}", file=sys.stderr)
         return 3
+    except (ConvergenceError, InfeasibleError, RankDeficiencyError) as exc:
+        print(f"romstab: {exc}", file=sys.stderr)
+        return 6
     except (RomStabError, ValueError, TypeError) as exc:
         print(f"romstab: {exc}", file=sys.stderr)
         return 2

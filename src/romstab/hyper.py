@@ -33,8 +33,10 @@ from .models import ForceTable, assemble, read_json, require_keys, write_json
 from .reduction import (
     MASS_ORTHONORMAL,
     ReducedBasis,
+    MatrixStepped,
     ReducedModel,
     galerkin_mass,
+    operator_step,
     reduced_load_table,
 )
 
@@ -244,16 +246,16 @@ def _collocation_blocks(model, basis, samples):
     return blocks
 
 
-@dataclass
-class SampledModel:
+@dataclass(frozen=True, eq=False)
+class SampledModel(MatrixStepped):
     """Naive collocation: forces evaluated at ``p`` sampled DoFs only.
 
     ``damping`` and ``stiffness`` are the ``p x k`` sampled rows of ``C V``
     and ``K V``, ``row_mass`` the lumped mass at the sampled DoFs and
     ``row_basis`` the sampled basis rows ``P.T V``; ``load`` is the
     external load table restricted to the sampled DoFs.  It is stepped by
-    :func:`hrom_step` and its stability follows from
-    :func:`sampled_step_matrix`, not from the square mass solve.
+    :func:`hrom_step` with :func:`sampled_step_matrix`, the matrix its
+    stable step comes from, not by a square mass solve.
     """
 
     provenance = "naive-collocation"
@@ -281,9 +283,11 @@ class SampledModel:
     def row_basis_pinv(self):
         return pseudoinverse(self.row_basis)
 
-    # the force at the sampled rows has the same form as a reduced force
-    reduced_load = ReducedModel.reduced_load
-    force_at = ReducedModel.force_at
+    def _step_matrices(self, dt):
+        """On ``z = [x; v_rows]``: ``A`` is :func:`sampled_step_matrix` and
+        ``B = [dt pinv D; D]``, ``D = dt diag(1 / row_mass)``."""
+        rows = np.diag(dt / self.row_mass)
+        return sampled_step_matrix(self, dt), np.vstack([dt * (self.row_basis_pinv @ rows), rows])
 
 
 def collocate_naive(model, basis, samples):
@@ -505,35 +509,25 @@ def _require_sampled(model, name):
         )
 
 
-def _hrom_advance(hrom, x, v_half, t, dt, rows):
-    """One sampled update on arrays: ``(x, v, rows)`` after it, where
-    ``rows`` holds the sampled-row velocities (``None`` before the first
-    step)."""
-    accel_rows = hrom.force_at(x, v_half, t) / hrom.row_mass
-    if rows is None:
-        rows = hrom.row_basis @ v_half
-    rows = rows + dt * accel_rows
-    x_new = hrom.row_basis_pinv @ (hrom.row_basis @ x + dt * rows)
-    return x_new, (x_new - x) / dt, rows
-
-
 def hrom_step(hrom, state, dt):
     """One explicit step of a naive-collocation model.
 
     Accelerations are formed at the sampled rows only, and the sampled-row
-    velocities advance and persist across steps (``state.row_v_half``).
-    The reduced displacement update then solves
+    velocities advance and persist across steps (``state.row_v_half``,
+    ``P.T V v_half`` at first).  The reduced displacement solves
     ``(P.T V) x_new = (P.T V) x + dt * v_rows`` (least squares when there
     are more rows than basis columns), and the reduced half-step velocity
-    is recovered from the displacement difference.
+    is the displacement difference over ``dt``.  The step applies
+    :func:`sampled_step_matrix` to ``[x; v_rows]``.
     """
     _require_sampled(hrom, "hrom_step")
-    x, v_half, rows = _hrom_advance(
-        hrom, state.x, state.v_half, state.t, dt, state.row_v_half
-    )
-    return replace(
-        state, x=x, v_half=v_half, t=state.t + dt, n=state.n + 1, row_v_half=rows
-    )
+    matrix, load = hrom.step_operator(dt)
+    rows = hrom.row_basis @ state.v_half if state.row_v_half is None else state.row_v_half
+    z = operator_step(matrix, np.concatenate((state.x, rows)),
+                      None if load is None else load.at(state.t))
+    x = z[: hrom.dim]
+    return replace(state, x=x, v_half=(x - state.x) / dt, t=state.t + dt,
+                   n=state.n + 1, row_v_half=z[hrom.dim:])
 
 
 def sampled_step_matrix(hrom, dt):

@@ -6,16 +6,17 @@ velocities at ``n - 1/2``; velocities then advance to ``n + 1/2`` and
 displacements to ``n + 1``.  On the very first step the initial velocity
 stands in for the half-step history.
 
-:func:`cd_step` steps any object providing ``dim``,
-``mass_inverse_apply(f)`` and ``force_at(x, v_half, t)``: a
-:class:`~romstab.models.FullOrderModel` or a square
-:class:`~romstab.reduction.ReducedModel`.  A naive-collocation
-:class:`~romstab.hyper.SampledModel` has rectangular sampled rows and no
-square mass to solve with; :func:`~romstab.hyper.hrom_step` is its rule.
-Both public steps wrap one array update each (``_cd_advance`` here,
-``_hrom_advance`` in :mod:`~romstab.hyper`), and :func:`integrate` runs
-those same updates on bare arrays, with no state object per step, so
-its trajectories are bit-identical to a loop of public steps.
+:func:`cd_step` steps a :class:`~romstab.models.FullOrderModel` (or any object
+providing ``dim``, ``mass_inverse_apply(f)`` and ``force_at(x, v_half, t)``)
+through its sparse force.  A square :class:`~romstab.reduction.ReducedModel`
+(:func:`cd_step`) and a naive-collocation :class:`~romstab.hyper.SampledModel`
+(:func:`~romstab.hyper.hrom_step`) step with their one-step matrix instead,
+``z <- A z + b(t)`` from ``step_operator(dt)``, on ``z = [x; v_half]`` and on
+``z = [x; sampled-row velocities]``, where ``A`` is the
+:func:`~romstab.hyper.sampled_step_matrix` that the stable step comes from.
+:func:`integrate` runs the same arithmetic on bare arrays and looks the load
+up for blocks of steps, each row bit-identical to the scalar lookup, so on
+every model its trajectories are bit-identical to a loop of public steps.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FormatError
-from .hyper import SampledModel, _hrom_advance
+from .hyper import SampledModel
 from .kernels import spectral_radius
+from .reduction import MatrixStepped, ReducedModel, operator_step
 
 __all__ = [
     "IntegratorState",
@@ -63,9 +65,7 @@ class IntegratorState:
         x0 = np.asarray(x0, dtype=float)
         v0 = np.asarray(v0, dtype=float)
         if x0.shape != v0.shape or x0.ndim != 1:
-            raise ValueError(
-                f"initial state shapes {x0.shape}/{v0.shape} must be equal 1-D"
-            )
+            raise ValueError(f"initial state shapes {x0.shape}/{v0.shape} must be equal 1-D")
         return cls(x=x0, v_half=v0, t=0.0, n=0)
 
 
@@ -79,11 +79,14 @@ class Trajectory:
     divergence_step: int | None = None
 
 
-def _cd_advance(model, x, v_half, t, dt, rows):
-    """One central-difference update on arrays; ``rows`` passes through."""
+_BLOCK = 256  # steps whose loads one vectorized table lookup gives
+
+
+def _cd_advance(model, x, v_half, t, dt):
+    """One central-difference update through the model's force."""
     accel = model.mass_inverse_apply(model.force_at(x, v_half, t))
     v_new = v_half + dt * accel
-    return x + dt * v_new, v_new, rows
+    return x + dt * v_new, v_new
 
 
 def cd_step(model, state, dt):
@@ -92,7 +95,13 @@ def cd_step(model, state, dt):
     Non-finite values are *not* trapped here; they propagate into the new
     state so that the driver can flag divergence instead of crashing.
     """
-    x, v_half, _ = _cd_advance(model, state.x, state.v_half, state.t, dt, None)
+    if isinstance(model, ReducedModel):
+        matrix, load = model.step_operator(dt)
+        z = operator_step(matrix, np.concatenate((state.x, state.v_half)),
+                          None if load is None else load.at(state.t))
+        x, v_half = z[: model.dim], z[model.dim:]
+    else:
+        x, v_half = _cd_advance(model, state.x, state.v_half, state.t, dt)
     return replace(state, x=x, v_half=v_half, t=state.t + dt, n=state.n + 1)
 
 
@@ -127,31 +136,43 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if x0.shape != (model.dim,) or v0.shape != (model.dim,):
-        raise ValueError(
-            f"initial state shapes {x0.shape}/{v0.shape} do not match "
-            f"model dimension {model.dim}"
-        )
+        raise ValueError(f"initial state shapes {x0.shape}/{v0.shape} do not match "
+                         f"model dimension {model.dim}")
 
-    advance = _hrom_advance if isinstance(model, SampledModel) else _cd_advance
-    x, v_half, t, rows = x0, v0, 0.0, None
+    matrix = load = None
+    square = isinstance(model, ReducedModel)  # z is [x; v_half]
+    if isinstance(model, MatrixStepped):
+        matrix, load = model.step_operator(dt)
+        k, sampled = model.dim, isinstance(model, SampledModel)
+        z = np.concatenate((x0, model.row_basis @ v0 if sampled else v0))
+
+    x, v_half, t = x0, v0, 0.0
     limit = float(blowup) * max(1.0, float(np.linalg.norm(x0)))
+    # norm(x) is sqrt(x.dot(x)) and a sum of the 2 dim squares of x and v is
+    # off by under 2 dim ulps, so a sum within ``bound`` proves the step sound;
+    # NaN, inf, overflow and states near the limit take the exact tests
+    bound = min(limit * limit, np.finfo(float).max) * (1.0 - 8 * x0.size * 2.0**-53)
     times, states = [t], [x0.copy()]
     diverged, divergence_step = False, None
 
     for n in range(1, n_steps + 1):
-        x, v_half, rows = advance(model, x, v_half, t, dt, rows)
-        t = t + dt
-        # norm(x) is sqrt(x.dot(x)), so finite sums of squares within the
-        # limit settle the common case; NaN, inf and overflow take the
-        # elementwise tests
-        sx = x.dot(x)
-        diverged = not (
-            math.isfinite(sx + v_half.dot(v_half)) and math.sqrt(sx) <= limit
-        ) and (
-            not np.all(np.isfinite(x))
-            or not np.all(np.isfinite(v_half))
-            or float(np.linalg.norm(x)) > limit
-        )
+        j = (n - 1) % _BLOCK
+        if not j:  # a block's times accumulate by t + dt, as public steps do
+            ts = np.full(min(_BLOCK, n_steps + 1 - n) + 1, float(dt))
+            ts[0] = t
+            ts = np.add.accumulate(ts)
+            loads = [None] * _BLOCK if load is None else load.at(ts[:-1])
+            ts = ts.tolist()
+        if matrix is None:
+            x, v_half = _cd_advance(model, x, v_half, ts[j], dt)
+        else:
+            z = operator_step(matrix, z, loads[j])
+            x, v_half = z[:k], (z[:k] - x) / dt if sampled else z[k:]
+        t = ts[j + 1]
+        squares = z.dot(z) if square else x.dot(x) + v_half.dot(v_half)
+        diverged = not squares <= bound and (
+            not np.all(np.isfinite(x)) or not np.all(np.isfinite(v_half))
+            or float(np.linalg.norm(x)) > limit)
         # each update returns fresh arrays, so a record needs no copy
         if diverged or n % record_every == 0 or n == n_steps:
             times.append(t)
@@ -239,18 +260,16 @@ def write_trajectory(trajectory, path):
     header = ", ".join(["t"] + [f"x_{i}" for i in range(d)])
     step = trajectory.divergence_step if trajectory.divergence_step is not None else -1
     flag = "true" if trajectory.divergence_flag else "false"
+    rows = np.column_stack((trajectory.times, trajectory.states)).tolist()
+    body = "".join(",".join(map(repr, row)) + "\n" for row in rows)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for t, row in zip(trajectory.times, trajectory.states):
-            fh.write(",".join([repr(float(t))] + [repr(float(v)) for v in row]) + "\n")
-        fh.write(f"# diverged={flag} step={step}\n")
+        fh.write(f"{header}\n{body}# diverged={flag} step={step}\n")
 
 
 def read_trajectory(path):
     """Read a trajectory written by :func:`write_trajectory`."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    lines = [line for line in lines if line.strip()]
+        lines = [line for line in fh.read().split("\n") if line.strip()]
     if not lines:
         raise FormatError(f"{path}: empty trajectory file")
     header = [tok.strip() for tok in lines[0].split(",")]
@@ -278,13 +297,11 @@ def read_trajectory(path):
                 raise FormatError(msg) from exc
             step = None if step < 0 else step
             continue
-        values = [tok.strip() for tok in line.split(",")]
+        values = line.split(",")
         if len(values) != d + 1:
-            raise FormatError(
-                f"{path}: row has {len(values)} fields, expected {d + 1}"
-            )
-        try:
-            rows.append([float(v) for v in values])
+            raise FormatError(f"{path}: row has {len(values)} fields, expected {d + 1}")
+        try:  # float() ignores the whitespace around a value
+            rows.append(list(map(float, values)))
         except ValueError as exc:
             raise FormatError(f"{path}: non-numeric row {line!r}") from exc
     data = np.array(rows) if rows else np.zeros((0, d + 1))

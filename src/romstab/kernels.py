@@ -82,7 +82,10 @@ def require_psd(a, name, rtol):
     A stack ``(E, n, n)`` is judged matrix by matrix in one ``eigvalsh``;
     a ``{}`` in ``name`` receives the index of the first failure.
     """
-    eigs = np.linalg.eigvalsh(a)
+    try:
+        eigs = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:  # a ValueError, yet no fault of the input
+        raise ConvergenceError(f"symmetric eigensolve did not converge: {exc}") from exc
     lowest = eigs[..., 0]
     scale = np.maximum(np.max(np.abs(eigs), axis=-1), 1e-300)
     failed = lowest < -rtol * scale

@@ -74,7 +74,16 @@ class ForceTable:
         return self.times.tolist()
 
     def at(self, t):
-        """Force vector at time ``t`` (clamped linear interpolation)."""
+        """Force vector at time ``t`` (clamped linear interpolation); a 1-D array
+        of times gives one row each, bit-identical to the scalar call."""
+        if isinstance(t, np.ndarray) and t.ndim:  # the scalar rule, elementwise
+            i = np.searchsorted(self.times, t, side="right") - 1
+            out = self.values[np.clip(i, 0, len(self.times) - 1)]
+            inside = (t > self.times[0]) & (t < self.times[-1])
+            i = i[inside]
+            w = ((t[inside] - self.times[i]) / (self.times[i + 1] - self.times[i]))[:, None]
+            out[inside] = (1.0 - w) * self.values[i] + w * self.values[i + 1]
+            return out
         times = self._stations
         if t <= times[0]:
             return self.values[0].copy()
@@ -214,7 +223,7 @@ class RowSparse:
         return np.add.reduceat(data[pos, None] * v[self.indices[pos]], np.cumsum(counts) - counts)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FullOrderModel:
     """Assembled second-order model with Rayleigh damping.
 
@@ -235,9 +244,9 @@ class FullOrderModel:
     external_force: ForceTable | None = None
 
     def __post_init__(self):
-        self.m = int(self.m)
-        self.mass = require_positive_diagonal(self.mass, "mass")
-        self.stiffness = require_symmetric(self.stiffness, "stiffness")
+        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "mass", require_positive_diagonal(self.mass, "mass"))
+        object.__setattr__(self, "stiffness", require_symmetric(self.stiffness, "stiffness"))
         if self.mass.shape[0] != self.m or self.stiffness.shape[0] != self.m:
             raise ValueError(
                 f"mass/stiffness shapes {self.mass.shape}/{self.stiffness.shape} "

@@ -18,6 +18,7 @@ and is the flavor the stability results are stated for.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -174,15 +175,40 @@ def modal_basis(model, modes):
     return ReducedBasis(v, MASS_ORTHONORMAL, mass=model.mass)
 
 
-@dataclass
-class ReducedModel:
+class MatrixStepped:
+    """A model stepped by one matrix, ``z <- A z + load.at(t)``; it defines
+    ``_step_matrices(dt)``, the matrix ``A`` and the load columns ``B``."""
+
+    def step_operator(self, dt):
+        """``(A, load)`` at ``dt``, kept for the last ``dt``; ``load`` is :attr:`load`
+        mapped by ``B``, unchecked: an overflow at a huge ``dt`` is a divergent run."""
+        cached = self.__dict__.get("_step_operator")
+        if cached is None or cached[0] != dt:
+            matrix, columns = self._step_matrices(dt)
+            load = copy.copy(self.load)
+            if load is not None:
+                object.__setattr__(load, "values", self.load.values @ columns.T)
+            cached = (dt, matrix, load)
+            object.__setattr__(self, "_step_operator", cached)
+        return cached[1:]
+
+
+def operator_step(matrix, z, load_row):
+    """``A z + b``, the arithmetic that the public steps and ``integrate`` share."""
+    z = matrix.dot(z)
+    if load_row is not None:
+        z += load_row
+    return z
+
+
+@dataclass(frozen=True, eq=False)
+class ReducedModel(MatrixStepped):
     """Square ``k x k`` projected second-order model.
 
     ``symmetric`` declares that damping and stiffness are symmetric up to
     round-off (Galerkin and ECSW); the flag is validated at construction.
     ``load`` is the external load table already mapped to reduced
-    coordinates (one column per basis vector), so ``reduced_load(t)`` is
-    a single table lookup.
+    coordinates (one column per basis vector).
     """
 
     mass: np.ndarray
@@ -199,21 +225,15 @@ class ReducedModel:
 
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
-            raise ValueError(
-                f"provenance must be one of {PROVENANCES}, got {self.provenance!r}"
-            )
-        self.mass = np.asarray(self.mass, dtype=float)
-        self.damping = np.asarray(self.damping, dtype=float)
-        self.stiffness = np.asarray(self.stiffness, dtype=float)
-        if not (
-            self.mass.shape == self.damping.shape == self.stiffness.shape
-        ) or self.mass.ndim != 2:
+            raise ValueError(f"provenance must be one of {PROVENANCES}, got {self.provenance!r}")
+        for name in ("mass", "damping", "stiffness"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if (self.mass.ndim != 2
+                or not self.mass.shape == self.damping.shape == self.stiffness.shape):
             raise ValueError("reduced matrices must share one 2-D shape")
         if self.stiffness.shape[1] != self.basis.k:
-            raise ValueError(
-                f"reduced matrices have {self.stiffness.shape[1]} columns for "
-                f"a basis with k={self.basis.k}"
-            )
+            raise ValueError(f"reduced matrices have {self.stiffness.shape[1]} columns for "
+                             f"a basis with k={self.basis.k}")
         if self.symmetric:
             for name, mat in (("damping", self.damping), ("stiffness", self.stiffness)):
                 scale = max(float(np.max(np.abs(mat))), 1e-300)
@@ -221,20 +241,11 @@ class ReducedModel:
                     raise ValueError(
                         f"reduced {name} marked symmetric but is not (within 1e-10)"
                     )
-            require_psd(
-                0.5 * (self.stiffness + self.stiffness.T), "reduced stiffness", 1e-8
-            )
+            require_psd(0.5 * (self.stiffness + self.stiffness.T), "reduced stiffness", 1e-8)
 
     @property
     def dim(self):
         return self.stiffness.shape[1]
-
-    def reduced_load(self, t):
-        if self.load is None:
-            return np.zeros(self.stiffness.shape[0])
-        return self.load.at(t)
-
-    # -- interface consumed by the time integrator ------------------------
 
     @cached_property
     def mass_inverse(self):
@@ -247,13 +258,15 @@ class ReducedModel:
                 f"not resolve the basis"
             ) from exc
 
-    def mass_inverse_apply(self, f):
-        if self.mass_is_identity:
-            return np.array(f, dtype=float)
-        return self.mass_inverse @ f
-
-    def force_at(self, x, v_half, t):
-        return self.reduced_load(t) - self.damping @ v_half - self.stiffness @ x
+    def _step_matrices(self, dt):
+        """On ``z = [x; v_half]``: ``A = [[I - dt^2 Minv K, dt (I - dt Minv C)],
+        [-dt Minv K, I - dt Minv C]]`` and ``B = [dt^2 Minv; dt Minv]``."""
+        eye = np.eye(self.dim)
+        minv = eye if self.mass_is_identity else self.mass_inverse
+        block_vx = -dt * (minv @ self.stiffness)
+        block_vv = eye - dt * (minv @ self.damping)
+        return (np.block([[eye + dt * block_vx, dt * block_vv], [block_vx, block_vv]]),
+                np.vstack([dt * (dt * minv), dt * minv]))
 
 
 def reduced_load_table(force, left=None, rows=None):

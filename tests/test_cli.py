@@ -660,6 +660,46 @@ _BASE = {
 }
 
 
+class TestNumericalFailures:
+    """Numerical failures exit 6, not 2 (usage) or 3 (file or format)."""
+
+    def test_pod_of_a_run_at_rest_is_rank_deficient(self, model5, tmp_path, capsys):
+        traj = tmp_path / "rest.csv"
+        assert run(["integrate", model5, "--dt", "0.01", "--steps", "5",
+                    "-o", str(traj)]) == 0
+        _out(capsys)
+        out_path = tmp_path / "pod.json"
+        rc = run(["reduce", model5, "--pod", str(traj), "--k", "2", "-o", str(out_path)])
+        _, err = _out(capsys)
+        assert rc == 6
+        assert "exceeds the numerical rank" in err
+        assert not out_path.exists()
+
+    def test_unreachable_ecsw_tolerance_is_infeasible(self, model5, tmp_path, capsys):
+        traj, basis = tmp_path / "traj.csv", tmp_path / "basis.json"
+        assert run(["integrate", model5, "--dt", "0.01", "--steps", "30",
+                    "--x0-random", "1.0", "-o", str(traj)]) == 0
+        assert run(["reduce", model5, "--modes", "0:3", "-o", str(basis)]) == 0
+        _out(capsys)
+        rc = run(["hyper", model5, "--method", "ecsw", "--basis", str(basis),
+                  "--snapshots", str(traj), "--tau", "1e-300",
+                  "-o", str(tmp_path / "w.json")])
+        _, err = _out(capsys)
+        assert rc == 6
+        assert "cannot reach tau=1e-300" in err
+
+    def test_failed_eigensolve_is_a_convergence_error(self, model5, monkeypatch, capsys):
+        # LAPACK rarely fails on a valid model, so the failure is injected
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        rc = run(["timestep", model5])
+        _, err = _out(capsys)
+        assert rc == 6
+        assert "eigensolve did not converge" in err
+
+
 def _base_args(command, without):
     positionals, required = _BASE[command]
     args = [command, *positionals]

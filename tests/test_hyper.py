@@ -523,8 +523,7 @@ class TestReducedLoad:
         cases, t = self._cases()
         rom, expected = cases[provenance]
         assert rom.provenance == provenance
-        zero = np.zeros(rom.dim)
-        got = rom.force_at(zero, zero, t)
+        got = rom.load.at(t)
         assert got.shape == expected.shape
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 

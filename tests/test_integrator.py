@@ -6,7 +6,9 @@ with the ghost-point start provides a second, structurally different
 cross-check.
 """
 
+import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from romstab import (
     integrate,
     modal_basis,
     read_trajectory,
+    sampled_step_matrix,
     spectral_radius,
     write_trajectory,
 )
@@ -232,14 +235,14 @@ class TestIntegrate:
     ])
     def test_rejects_more_than_a_billion_steps(self, monkeypatch, t_end, dt, steps):
         model = _scalar_model(1.0)
-        monkeypatch.setattr(model, "force_at", None)  # no step may run
+        monkeypatch.setattr(FullOrderModel, "force_at", None)  # no step may run
         message = f"t_end={t_end} and dt={dt} ask for {steps} steps; at most 1e9"
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             integrate(model, [1.0], [0.0], t_end=t_end, dt=dt)
 
     def test_a_billion_steps_pass_the_check(self, monkeypatch):
         model = _scalar_model(1.0)
-        monkeypatch.setattr(model, "force_at", None)  # the first step raises
+        monkeypatch.setattr(FullOrderModel, "force_at", None)  # the first step raises
         with pytest.raises(TypeError):
             integrate(model, [1.0], [0.0], t_end=1e9, dt=1.0)
 
@@ -371,14 +374,92 @@ class TestIntegrateParity:
     @pytest.mark.parametrize("kind", ["naive-collocation-p=k",
                                       "naive-collocation-p>k"])
     def test_overflowing_velocity_with_finite_displacement(self, systems, kind):
-        # the sampled velocity is a displacement difference over dt; at a
-        # subnormal dt the round-off of that difference overflows
+        # the sampled velocity is a displacement difference over dt; a step
+        # that flips the sign of a huge displacement overflows that
+        # difference while both displacements stay finite
         model = systems[kind]
-        x0 = 1e8 * np.linspace(0.3, 1.0, model.dim)
-        dt = 1e-320
+        dt = 0.9 * critical_dt_report(model).dt_crit
+        gain = sampled_step_matrix(model, dt)[: model.dim, model.dim - 1]
+        x0 = np.zeros(model.dim)
+        x0[-1] = 0.5 * np.finfo(float).max / np.max(np.abs(gain))
+        assert abs(gain[-1] - 1.0) * x0[-1] > dt * np.finfo(float).max
         traj = self._compare(model, x0, np.zeros(model.dim), 3 * dt, dt)
         assert traj.divergence_step == 1
         assert np.all(np.isfinite(traj.states[-1]))
+
+
+def _table_at(table, t):
+    """Clamped linear interpolation by ``np.interp``, column by column."""
+    return np.array([np.interp(t, table.times, col) for col in table.values.T])
+
+
+def _two_step_oracle(model, x0, v0, dt, steps):
+    """Dense two-step recurrence ``x+ = 2 x - x- + dt^2 Minv (f - C (x - x-)/dt - K x)``,
+    kept apart from the step operators: the full model with its dense
+    matrices, a square reduction with ``inv(M_r)``, and naive collocation
+    with ``pinv(P.T V) diag(1 / m_rows)`` on the sampled row forces."""
+    if isinstance(model, FullOrderModel):
+        minv, table = np.diag(1.0 / model.mass), model.external_force
+    elif isinstance(model, SampledModel):
+        minv, table = np.linalg.pinv(model.row_basis) / model.row_mass, model.load
+    else:
+        minv, table = np.linalg.inv(model.mass), model.load
+    x_prev, x = x0 - dt * v0, x0.copy()
+    for n in range(steps):
+        force = _table_at(table, n * dt) - model.damping @ ((x - x_prev) / dt) - model.stiffness @ x
+        x_prev, x = x, 2.0 * x - x_prev + dt * dt * (minv @ force)
+    return x
+
+
+class TestStepOperator:
+    """Reduced and sampled models step with one matrix and block-evaluated loads."""
+
+    @pytest.mark.parametrize("fraction", [0.9, 1e-3])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_matches_dense_two_step_recurrence(self, systems, kind, fraction):
+        model = systems[kind]
+        dt = fraction * critical_dt_report(model).dt_crit
+        x0 = 0.1 * np.linspace(-1.0, 1.0, model.dim)
+        v0 = np.linspace(0.5, -0.2, model.dim)
+        steps = 600  # more than two load blocks
+        traj = integrate(model, x0, v0, steps * dt, dt)
+        assert len(traj.times) == steps + 1
+        expected = _two_step_oracle(model, x0, v0, dt, steps)
+        assert np.linalg.norm(traj.states[-1] - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_rayleigh_galerkin_radius_crosses_one_at_the_critical_step(self, systems):
+        rom = systems["galerkin"]
+        dt = critical_dt_report(rom).dt_crit
+        below = spectral_radius(rom.step_operator(0.999 * dt)[0]).radius
+        above = spectral_radius(rom.step_operator(1.001 * dt)[0]).radius
+        assert below <= 1.0 < above
+
+    @pytest.mark.parametrize("kind", ["galerkin", "naive-collocation-p>k"])
+    def test_operator_is_kept_for_the_last_step_size(self, systems, kind, monkeypatch):
+        model = systems[kind]
+        dt = 0.5 * critical_dt_report(model).dt_crit
+        first = model.step_operator(dt)
+        monkeypatch.setattr(np, "vstack", None)  # a rebuild would fail
+        second = model.step_operator(dt)
+        assert all(a is b for a, b in zip(first, second))
+
+    @pytest.mark.parametrize("kind", ["galerkin", "naive-collocation-p=k"])
+    def test_fields_are_frozen(self, systems, kind):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            systems[kind].stiffness = np.zeros((4, 4))
+
+    def test_long_loaded_run_keeps_memory_bounded(self, systems):
+        rom = systems["galerkin"]
+        dt = 0.9 * critical_dt_report(rom).dt_crit
+        zero = np.zeros(rom.dim)
+        tracemalloc.start()
+        try:
+            traj = integrate(rom, zero, zero, 2 * 10**5 * dt, dt, record_every=10**4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj.times) == 21
+        assert peak < 2**20
 
 
 class TestTrajectoryFile:

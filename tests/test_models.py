@@ -1,5 +1,6 @@
 """Tests for model construction, element assembly, and the model file format."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -244,6 +245,22 @@ class TestStringModel:
                                boundary_factor=-0.5)
 
 
+    @pytest.mark.parametrize("stations", [1, 2, 7])
+    def test_vectorized_lookup_equals_scalar_lookup_bitwise(self, stations):
+        rng = np.random.default_rng(23 + stations)
+        times = np.cumsum(rng.uniform(0.01, 1.0, stations))
+        table = ForceTable(times, rng.standard_normal((stations, 5)))
+        between = rng.uniform(times[0], times[-1], 50) if stations > 1 else []
+        probes = np.concatenate([times, between, times[0] - rng.uniform(0.0, 2.0, 5),
+                                 times[-1] + rng.uniform(0.0, 2.0, 5),
+                                 np.nextafter(times, -np.inf), np.nextafter(times, np.inf)])
+        rows = table.at(probes)
+        assert rows.shape == (probes.size, 5)
+        for t, row in zip(probes.tolist(), rows):
+            assert table.at(t).tobytes() == row.tobytes()
+        assert table.at(probes[:0]).shape == (0, 5)
+
+
 class TestFullOrderModel:
     def test_damping_matrix_structure(self):
         model = build_string_model(4, element_mass=1.0, element_stiffness=2.0,
@@ -284,6 +301,14 @@ class TestFullOrderModel:
         with pytest.raises(ValueError, match="Rayleigh coefficients must be"):
             FullOrderModel(m=2, mass=np.ones(2), stiffness=np.eye(2),
                            **{name: value})
+
+    def test_fields_are_frozen(self):
+        # a reassigned a2 would leave the cached damping and operator stale
+        model = build_string_model(6, element_mass=1.0, element_stiffness=10.0,
+                                   length=1.0, a2=0.1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.a2 = 0.5
+        assert model.operator.damping[0] == 0.1 * model.stiffness[0, 0]
 
     def test_force_at_combines_terms(self):
         model = FullOrderModel(

@@ -228,10 +228,11 @@ class TestReducedModelValidation:
                            provenance="projected-collocation", symmetric=False,
                            basis=self._basis())
         f = np.array([0.3, -1.7])
-        first = rom.mass_inverse_apply(f)
+        first = rom.mass_inverse @ f
         assert np.max(np.abs(first - np.linalg.solve(mass, f))) <= 1e-15 * np.max(np.abs(first))
         monkeypatch.setattr(np.linalg, "inv", None)  # a second factorization would fail
-        assert np.array_equal(rom.mass_inverse_apply(f), first)
+        assert np.array_equal(rom.mass_inverse @ f, first)
+        rom.step_operator(0.1)  # the step operator reads the same inverse
 
     def test_singular_mass_raises_on_use(self):
         rom = ReducedModel(mass=np.array([[1.0, 1.0], [1.0, 1.0]]), damping=np.zeros((2, 2)),
@@ -240,7 +241,7 @@ class TestReducedModelValidation:
         for _ in range(2):
             with pytest.raises(ValueError, match=r"^reduced mass matrix is singular \(Singular "
                                                  r"matrix\); the sampling does not resolve the basis$"):
-                rom.mass_inverse_apply(np.ones(2))
+                rom.step_operator(0.1)
 
 
 class TestReconstruct:

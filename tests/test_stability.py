@@ -1,6 +1,7 @@
 """Tests for critical-step formulas, spectrum bounds, and the report
 dispatch across model flavors."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -487,7 +488,7 @@ class TestDecoupledRadius:
         rom = _sampled_reduction(kind)
         broken = getattr(rom, field).copy()
         broken[0, 0] = np.nan if field == "stiffness" else np.inf
-        setattr(rom, field, broken)
+        rom = dataclasses.replace(rom, **{field: broken})
         with pytest.raises(ValueError, match="non-finite"):
             critical_dt_report(rom)
 
