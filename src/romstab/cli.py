@@ -20,7 +20,8 @@ help and argparse extras.  That table is the single source for the
 parser's flags, the ``--config`` keys and their types, and the defaults.
 
 Exit codes: 0 success; 2 usage or argument errors; 3 file or format
-errors; 4 divergence; 5 verification or reproduction failure.
+errors; 4 divergence; 5 verification or reproduction failure; 6 numerical
+failure; 7 no stable step (``timestep`` still prints its report).
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import (ConvergenceError, FormatError, InfeasibleError, RankDeficiencyError,
-                     RomStabError)
+from .errors import (ConvergenceError, FormatError, InfeasibleError, NumericalRangeError,
+                     RankDeficiencyError, RomStabError)
 from .hyper import (
     SampleSet,
     deim_points,
@@ -171,8 +172,8 @@ def cmd_build(ns):
         element_stiffness=opts["element_stiffness"], length=opts["length"],
         boundary_factor=opts["boundary"], a1=opts["a1"], a2=opts["a2"],
     )
-    write_model(model, opts["output"])
     mu_max = max_gen_eigenvalue(model.stiffness, model.mass)
+    write_model(model, opts["output"])
     _emit(
         ns,
         {"path": opts["output"], "m": model.m, "mu_max": mu_max},
@@ -211,7 +212,7 @@ def cmd_timestep(ns):
     doc["dt_crit"] = doc["dt_crit"] * opts["scale"]
     doc["scale"] = opts["scale"]
     print(json.dumps(doc))
-    return 0
+    return 0 if report.stable else 7
 
 
 def cmd_reduce(ns):
@@ -301,7 +302,12 @@ def cmd_integrate(ns):
     else:
         if opts["dt_frac"] <= 0.0:
             raise ValueError("--dt-frac must be positive")
-        dt_crit = critical_dt_report(system).dt_crit
+        report = critical_dt_report(system)
+        if not report.stable:
+            print(f"romstab: no stable step ({report.method}, eigenvalue "
+                  f"{report.eigenvalue})", file=sys.stderr)
+            return 7
+        dt_crit = report.dt_crit
         if not np.isfinite(dt_crit):
             raise ValueError(
                 "critical step is unbounded for this system; give --dt instead"
@@ -516,7 +522,7 @@ def run(argv=None):
     except (FormatError, OSError) as exc:
         print(f"romstab: {exc}", file=sys.stderr)
         return 3
-    except (ConvergenceError, InfeasibleError, RankDeficiencyError) as exc:
+    except (ConvergenceError, InfeasibleError, NumericalRangeError, RankDeficiencyError) as exc:
         print(f"romstab: {exc}", file=sys.stderr)
         return 6
     except (RomStabError, ValueError, TypeError) as exc:

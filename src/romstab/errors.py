@@ -45,5 +45,9 @@ class InfeasibleError(RomStabError):
         self.best_residual = best_residual
 
 
+class NumericalRangeError(RomStabError):
+    """A result lies outside the double-precision range (it overflows)."""
+
+
 class FormatError(RomStabError):
     """A file on disk does not follow one of the documented formats."""

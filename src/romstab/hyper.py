@@ -23,12 +23,11 @@ comes from.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .errors import FormatError, RankDeficiencyError
-from .kernels import pseudoinverse, sparse_nnls
+from .kernels import sparse_nnls
 from .models import ForceTable, assemble, read_json, require_keys, write_json
 from .reduction import (
     MASS_ORTHONORMAL,
@@ -159,8 +158,15 @@ def _check_reach(model, samples):
     op = model.operator
     pos, counts = op.gather(rows)
     cols = op.indices[pos]
-    damping_out = (op.damping[pos] != 0.0) & ~np.isin(cols, samples.damping_reach)
-    stiffness_out = (op.stiffness[pos] != 0.0) & ~np.isin(cols, samples.stiffness_reach)
+
+    def outside(reach):  # per nonzero: its column is not in ``reach``
+        reach = np.asarray(reach, dtype=int)
+        mask = np.ones(model.m, dtype=bool)
+        mask[reach[(reach >= 0) & (reach < model.m)]] = False
+        return mask[cols]
+
+    damping_out = (op.damping[pos] != 0.0) & outside(samples.damping_reach)
+    stiffness_out = (op.stiffness[pos] != 0.0) & outside(samples.stiffness_reach)
     bad = damping_out | stiffness_out
     if bad.any():
         segment = np.repeat(np.arange(rows.size), counts)  # row by row, collocation order
@@ -223,27 +229,35 @@ def _sampled_blocks(model, basis, samples):
     return rows, v[rows], op.rows_times(op.damping, v, rows), op.rows_times(op.stiffness, v, rows)
 
 
-def _require_full_rank(a, what):
-    """Reject ``a`` when its condition number exceeds 1e12."""
-    sv = np.linalg.svd(a, compute_uv=False)
+def _require_full_rank(a, what, pinv=False):
+    """Reject ``a`` when its condition number exceeds 1e12; with ``pinv``,
+    return its pseudo-inverse from the same SVD: no singular value falls
+    below the cutoff of ``np.linalg.pinv(a, rcond=1e-12)``, so this product,
+    in this order, is numpy's bit for bit."""
+    if pinv:
+        u, sv, vt = np.linalg.svd(a, full_matrices=False)
+    else:
+        sv = np.linalg.svd(a, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0] or sv[0] == 0.0:
         cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
         raise RankDeficiencyError(
             f"{what} is rank-deficient (condition number {cond:.3e})"
         )
+    if pinv:
+        return vt.T @ ((1.0 / sv)[:, None] * u.T)
 
 
-def _collocation_blocks(model, basis, samples):
-    """Sampled blocks for the collocation variants: at least ``k`` rows of
-    full column rank."""
+def _collocation_blocks(model, basis, samples, pinv=False):
+    """Sampled blocks for the collocation variants, at least ``k`` rows of
+    full column rank, and with ``pinv`` the pseudo-inverse of ``P.T V``
+    (else None)."""
     blocks = _sampled_blocks(model, basis, samples)
     row_basis = blocks[1]
     if row_basis.shape[0] < basis.k:
         raise ValueError(
             f"need at least k={basis.k} collocation DoFs, got {row_basis.shape[0]}"
         )
-    _require_full_rank(row_basis, "sampled basis block P.T V")
-    return blocks
+    return (*blocks, _require_full_rank(row_basis, "sampled basis block P.T V", pinv))
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,8 +265,9 @@ class SampledModel(MatrixStepped):
     """Naive collocation: forces evaluated at ``p`` sampled DoFs only.
 
     ``damping`` and ``stiffness`` are the ``p x k`` sampled rows of ``C V``
-    and ``K V``, ``row_mass`` the lumped mass at the sampled DoFs and
-    ``row_basis`` the sampled basis rows ``P.T V``; ``load`` is the
+    and ``K V``, ``row_mass`` the lumped mass at the sampled DoFs,
+    ``row_basis`` the sampled basis rows ``P.T V`` and ``row_basis_pinv``
+    their pseudo-inverse; ``load`` is the
     external load table restricted to the sampled DoFs.  It is stepped by
     :func:`hrom_step` with :func:`sampled_step_matrix`, the matrix its
     stable step comes from, not by a square mass solve.
@@ -264,6 +279,7 @@ class SampledModel(MatrixStepped):
     stiffness: np.ndarray
     row_mass: np.ndarray
     row_basis: np.ndarray
+    row_basis_pinv: np.ndarray
     basis: ReducedBasis
     samples: SampleSet
     a1: float = 0.0
@@ -279,10 +295,6 @@ class SampledModel(MatrixStepped):
     def dim(self):
         return self.stiffness.shape[1]
 
-    @cached_property
-    def row_basis_pinv(self):
-        return pseudoinverse(self.row_basis)
-
     def _step_matrices(self, dt):
         """On ``z = [x; v_rows]``: ``A`` is :func:`sampled_step_matrix` and
         ``B = [dt pinv D; D]``, ``D = dt diag(1 / row_mass)``."""
@@ -297,14 +309,15 @@ def collocate_naive(model, basis, samples):
     more rows than basis columns the displacement update solves a least
     squares problem each step, see :func:`hrom_step`.
     """
-    rows, row_basis, damping_rows, stiffness_rows = _collocation_blocks(
-        model, basis, samples
+    rows, row_basis, damping_rows, stiffness_rows, row_basis_pinv = _collocation_blocks(
+        model, basis, samples, pinv=True
     )
     return SampledModel(
         damping=damping_rows,
         stiffness=stiffness_rows,
         row_mass=model.mass[rows],
         row_basis=row_basis,
+        row_basis_pinv=row_basis_pinv,
         basis=basis,
         samples=samples,
         a1=model.a1,
@@ -320,7 +333,7 @@ def collocate_projected(model, basis, samples):
     positive semi-definite by construction; damping and stiffness are in
     general *not* symmetric because sampling acts from one side only.
     """
-    rows, row_basis, damping_rows, stiffness_rows = _collocation_blocks(
+    rows, row_basis, damping_rows, stiffness_rows, _ = _collocation_blocks(
         model, basis, samples
     )
     return ReducedModel(
@@ -355,9 +368,8 @@ def _interpolation_reduce(model, basis, u, rows, provenance):
     """
     samples = SampleSet.from_model(model, rows)
     rows, _, damping_rows, stiffness_rows = _sampled_blocks(model, basis, samples)
-    ptu = u[rows]
-    _require_full_rank(ptu, "sampled force basis P.T U")
-    left = (basis.matrix.T @ u) @ pseudoinverse(ptu)
+    pinv = _require_full_rank(u[rows], "sampled force basis P.T U", pinv=True)
+    left = (basis.matrix.T @ u) @ pinv
     mass_r, identity = galerkin_mass(model, basis)
     return ReducedModel(
         mass=mass_r,

@@ -17,11 +17,12 @@ a relative tolerance — is part of its contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InfeasibleError, RankDeficiencyError
+from .errors import ConvergenceError, InfeasibleError, NumericalRangeError, RankDeficiencyError
 
 __all__ = [
     "EigenPairs",
@@ -152,17 +153,31 @@ def sym_eig(a):
 
 
 def _mass_normalized(stiffness, mass):
-    # The symmetric similarity M**-1/2 K M**-1/2 of inv(M) K.
+    """``(S, e)``, ``2**e S`` the symmetric similarity ``M**-1/2 K M**-1/2`` of
+    ``inv(M) K``.  ``2**e``, a power of four near the largest diagonal entry of ``K``
+    (which bounds ``|K|`` when ``K`` is PSD), keeps the product finite near the top
+    of the double range; applied through ``M**-1/2`` it is exact, so every bit stays."""
     stiffness = require_symmetric(stiffness, "stiffness")
     mass = require_positive_diagonal(mass, "mass")
     if mass.shape[0] != stiffness.shape[0]:
         raise ValueError(
             f"order mismatch: stiffness {stiffness.shape[0]}, mass {mass.shape[0]}"
         )
-    inv_sqrt = 1.0 / np.sqrt(mass)
+    peak = float(np.max(np.abs(np.diagonal(stiffness)), initial=0.0))
+    half = math.frexp(peak)[1] // 2 if peak > 0.0 else 0
+    inv_sqrt = 1.0 / np.sqrt(mass) / math.ldexp(1.0, half)
     # np.outer(s, s) is exactly symmetric (IEEE multiplication commutes),
     # so the elementwise product with an exactly symmetric K is too.
-    return stiffness * np.outer(inv_sqrt, inv_sqrt)
+    return stiffness * np.outer(inv_sqrt, inv_sqrt), 2 * half
+
+
+def _scaled_back(values, exponent):
+    """``values * 2**exponent``; a non-finite one raises :class:`NumericalRangeError`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.ldexp(values, exponent)
+    if not np.all(np.isfinite(values)):
+        raise NumericalRangeError("eigenvalues of inv(M) K overflow double precision")
+    return values
 
 
 def gen_eig_diag_mass(stiffness, mass):
@@ -183,18 +198,22 @@ def gen_eig_diag_mass(stiffness, mass):
         ``vectors`` are orthonormal eigenvectors of the *symmetric form*;
         divide rows by ``sqrt(mass)`` to obtain mass-orthonormal
         eigenvectors of ``inv(M) K`` itself.
+    An eigenvalue beyond the double range raises :class:`NumericalRangeError`.
     """
-    return sym_eig(_mass_normalized(stiffness, mass))
+    normalized, exponent = _mass_normalized(stiffness, mass)
+    pairs = sym_eig(normalized)
+    return EigenPairs(_scaled_back(pairs.values, exponent), pairs.vectors)
 
 
 def max_gen_eigenvalue(stiffness, mass):
     """Largest eigenvalue of ``inv(M) K``, as :func:`gen_eig_diag_mass` but
     without computing eigenvectors."""
+    normalized, exponent = _mass_normalized(stiffness, mass)
     try:
-        values = np.linalg.eigvalsh(_mass_normalized(stiffness, mass))
+        values = np.linalg.eigvalsh(normalized)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolve did not converge: {exc}") from exc
-    return float(values[-1])
+    return float(_scaled_back(values, exponent)[-1])
 
 
 def thin_svd(snapshots):

@@ -13,23 +13,18 @@ overflow nor lose the limits.
 
 Model-level reports take the largest eigenvalue of ``inv(M) K``
 (directly, from element bounds, or from weighted-element bounds) and
-apply the modal formula; reduced models with nonsymmetric operators fall
-back to bisection on the spectral radius of their one-step matrix.
-
-That radius is decoupled whenever the reduced damping is Rayleigh,
-``C_r = a1 M_r + a2 K_r`` (projected collocation always, DEIM and GNAT
-when ``a1 = 0``, naive collocation whenever ``pinv(P.T V) P.T V = I``).
-The characteristic polynomial of the one-step matrix then factors over
-the eigenvalues ``lam`` of ``inv(M_r) K_r`` into the quadratics
-``z^2 - (2 - dt^2 lam - dt c) z + (1 - dt c)``, ``c = a1 + a2 lam``, so
-one ``k x k`` eigensolve serves every bisection step.  Any other reduced
-damping keeps ``eigvals`` of the dense one-step matrix at each step.
+apply the modal formula.  Reduced models with nonsymmetric operators take
+their step from the central-difference one-step matrix: in closed form
+per eigenvalue of ``inv(M_r) K_r`` when the reduced damping is Rayleigh
+(:func:`_exact_steps`), by bisection on the dense matrix otherwise, and
+with ``stable`` false when no step is stable (:func:`critical_dt_report`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -53,19 +48,34 @@ __all__ = [
     "verify_rom_dt_dominance",
 ]
 
-METHODS = ("modal-exact", "element-bound", "ecsw-bound", "amplification-bisection")
+METHODS = ("modal-exact", "element-bound", "ecsw-bound", "amplification-exact",
+           "amplification-bisection")
 MODEL_KINDS = ("fom", "rom", "hrom")
+
+# Round-off rules of the nonsymmetric reports, relative to the largest eigenvalue
+# magnitude: |Im lam| up to IMAG_RTOL counts as real, |lam| up to RIGID_RTOL as
+# rigid, and a first-order real part above GROWTH_RTOL grows at every small step.
+IMAG_RTOL = 1e-10
+RIGID_RTOL = 1e-10
+GROWTH_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Largest squared frequency, damping ratio there, and the critical step."""
+    """Largest squared frequency, damping ratio there, and the critical step.
+
+    ``stable`` is false when no step from ``0+`` is stable; ``dt_crit`` is
+    then 0 and ``eigenvalue`` the offending one (of ``inv(M_r) K_r``, or of
+    the first-order matrix on the dense path; see :func:`critical_dt_report`).
+    """
 
     mu_max: float
     xi: float
     dt_crit: float
     method: str
     model_kind: str
+    stable: bool = True
+    eigenvalue: complex | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -74,21 +84,27 @@ class StabilityReport:
             raise ValueError(
                 f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}"
             )
-        if self.mu_max < 0.0:
+        if not self.mu_max >= 0.0:
             raise ValueError(f"mu_max must be nonnegative, got {self.mu_max}")
-        if self.xi < 0.0:
+        if not self.xi >= 0.0:
             raise ValueError(f"xi must be nonnegative, got {self.xi}")
-        if not self.dt_crit > 0.0:
+        if self.stable and not self.dt_crit > 0.0:
             raise ValueError(f"dt_crit must be positive, got {self.dt_crit}")
+        if not self.stable and (self.dt_crit != 0.0 or self.eigenvalue is None):
+            raise ValueError("an unstable report has dt_crit 0 and names its eigenvalue")
 
     def to_dict(self):
-        return {
+        doc = {
             "mu_max": self.mu_max,
             "xi": self.xi,
             "dt_crit": self.dt_crit,
             "method": self.method,
             "model_kind": self.model_kind,
         }
+        if not self.stable:
+            doc["stable"] = False
+            doc["eigenvalue"] = [self.eigenvalue.real, self.eigenvalue.imag]
+        return doc
 
 
 def damping_ratio(mu, a1, a2):
@@ -259,7 +275,8 @@ def _generalized_mu_max(stiffness, mass):
 
 
 def _bisect_critical_dt(radius_at, guess):
-    """Largest dt with amplification radius at most 1 (up to 1e-9 slack)."""
+    """Largest dt with amplification radius at most 1 (up to 1e-9 slack);
+    the dense path of :func:`critical_dt_report`."""
 
     def unstable(dt):
         return radius_at(dt) > 1.0 + 1e-9
@@ -291,72 +308,79 @@ def _rayleigh_damped(model):
     return bool(np.max(np.abs(model.damping - rayleigh)) <= 1e-10 * scale)
 
 
-def _decoupled_radius(lam, a1, a2, floor):
-    """Spectral radius of the one-step matrix from the eigenvalues ``lam``
-    of ``inv(M_r) K_r``, for Rayleigh damping ``c = a1 + a2 lam``.
+def _exact_steps(lam, a1, a2):
+    """Right end of each eigenvalue's stable interval from ``0+`` (0 if none).
 
-    The roots of ``z^2 - (2 - dt q) z + (1 - dt c)``, ``q = dt lam + c``,
-    are ``1 - dt (q -+ sqrt(q^2 - 4 lam)) / 2``; the discriminant in that
-    form has no ``b^2 - 4 c`` cancellation at small ``dt``.  ``floor``
-    bounds the radius below (eigenvalues of the one-step matrix that do
-    not come from ``lam``).
+    ``lam`` holds eigenvalues of ``inv(M_r) K_r`` with Rayleigh damping
+    ``c = a1 + a2 lam``; the round-off rules are :data:`IMAG_RTOL` and
+    :data:`RIGID_RTOL`.  A rigid ``lam`` allows ``2 / a1`` (unbounded when
+    ``a1 = 0``), a real positive one :func:`critical_dt_at_frequency`, a
+    real negative one nothing.  For a complex ``lam`` the one-step
+    quadratic ``z^2 + b z + c0``, ``b = -(2 - dt c - dt^2 lam)`` and
+    ``c0 = 1 - dt c``, has both roots in the closed unit disk iff
+    ``|c0| <= 1`` and ``|b - c0 conj(b)| <= 1 - |c0|^2`` (Schur-Cohn;
+    E. I. Jury, *Theory and Application of the z-Transform Method*, 1964).
+    The first reads ``dt <= 2 Re c / |c|^2``.  Since
+    ``b - c0 conj(b) = -2 Re c dt + (|c|^2 + 2i Im lam) dt^2 + P dt^3``
+    with ``P = c conj(lam)``, and ``1 - |c0|^2 = 2 Re c dt - |c|^2 dt^2``,
+    the second reads, after dividing by ``dt^2``,
+    ``|P|^2 dt^2 + (2 |c|^2 Re P + 4 Im lam Im P) dt
+    + 4 (Im lam^2 - Re c Re P) <= 0``: an interval from ``0+`` exactly
+    when ``Re c > 0`` and the constant term is negative.
     """
-    lam = np.asarray(lam, dtype=complex)
-    c = a1 + a2 * lam
+    scale = float(np.max(np.abs(lam)))
+    real = np.abs(lam.imag) <= IMAG_RTOL * scale
+    rigid = real & (np.abs(lam.real) <= RIGID_RTOL * scale)
+    rising = real & ~rigid & (lam.real > 0.0)
+    steps = np.zeros(lam.shape)
+    steps[rigid] = 2.0 / a1 if a1 > 0.0 else math.inf
+    steps[rising] = critical_dt_at_frequency(np.sqrt(lam.real[rising]), a1, a2)
+    spiral = lam[~real]
+    c = a1 + a2 * spiral
+    p = c * spiral.conj()
+    c2, p2 = c.real**2 + c.imag**2, p.real**2 + p.imag**2
+    lin = 2.0 * c2 * p.real + 4.0 * spiral.imag * p.imag
+    const = 4.0 * (spiral.imag**2 - c.real * p.real)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.sqrt(lin * lin - 4.0 * p2 * const)
+        root = np.where(lin >= 0.0, -2.0 * const / (lin + disc), (disc - lin) / (2.0 * p2))
+        bound = np.minimum(root, 2.0 * c.real / c2)
+    opens = (c.real > 0.0) & ((const < 0.0) | ((const == 0.0) & (lin < 0.0)))
+    steps[~real] = np.where(opens, bound, 0.0)
+    return steps
 
-    def radius_at(dt):
-        q = dt * lam + c
-        half = 0.5 * dt * np.sqrt(q * q - 4.0 * lam)
-        mid = 1.0 - 0.5 * dt * q
-        top = np.maximum(np.abs(mid + half), np.abs(mid - half))
-        return max(floor, float(np.max(top)))
 
-    return radius_at
+def _step_spectrum(model):
+    """``(lam, dense)`` for a nonsymmetric reduced or sampled model.
 
-
-def _step_radius(model):
-    """``(radius_at, mu_guess, decoupled)`` for a nonsymmetric reduced or
-    sampled model.
-
-    ``radius_at(dt)`` is the spectral radius of the model's one-step
-    matrix; ``mu_guess`` the dominant eigenvalue magnitude of
-    ``inv(M_r) K_r`` (``pinv(P.T V) diag(1/m_rows) K_rows`` for a
-    :class:`SampledModel`); ``decoupled`` tells whether ``radius_at``
-    works from the eigenvalues of that operator (Rayleigh damping) or
-    from the dense one-step matrix.  A sampled model with ``p > k`` rows
-    has ``p - k`` extra one-step eigenvalues equal to 1, so its
-    decoupled radius is at least 1.
+    ``lam`` are the eigenvalues of ``inv(M_r) K_r`` (``pinv(P.T V)
+    diag(1/m_rows) K_rows`` for a :class:`SampledModel`).  With Rayleigh
+    reduced damping the one-step matrix decouples over them and ``dense``
+    is None; a sampled model's ``p - k`` further one-step eigenvalues
+    equal 1 and limit no step.  Otherwise ``dense`` is ``(nu, radius_at)``:
+    the eigenvalues of the first-order matrix ``[[0, I], [-inv(M_r) K_r,
+    -inv(M_r) C_r]]`` and the spectral radius of the dense one-step matrix
+    as a function of ``dt``.
     """
     if isinstance(model, SampledModel):
-        operator = model.row_basis_pinv @ (model.stiffness / model.row_mass[:, None])
-        k = model.dim
+        left = model.row_basis_pinv / model.row_mass
         identity = model.row_basis_pinv @ model.row_basis
-        can_decouple = np.max(np.abs(identity - np.eye(k))) <= 1e-10
-        floor = 1.0 if model.row_basis.shape[0] > k else 0.0
-
-        def dense_radius(dt):
-            return spectral_radius(sampled_step_matrix(model, dt)).radius
-
+        decouples = np.max(np.abs(identity - np.eye(model.dim))) <= 1e-10
+        step_matrix = partial(sampled_step_matrix, model)
     else:
-        if model.mass_is_identity:
-            operator = model.stiffness
-        else:
-            operator = np.linalg.solve(model.mass, model.stiffness)
-        can_decouple = True
-        floor = 0.0
-
-        def dense_radius(dt):
-            return spectral_radius(
-                amplification_matrix(model.mass, model.damping, model.stiffness, dt)
-            ).radius
-
+        left = np.eye(model.dim) if model.mass_is_identity else model.mass_inverse
+        decouples = True
+        step_matrix = partial(amplification_matrix, model.mass, model.damping, model.stiffness)
+    operator = left @ model.stiffness
     if not (np.all(np.isfinite(operator)) and np.all(np.isfinite(model.damping))):
         raise ValueError("reduced operators contain non-finite entries")
-    lam = np.linalg.eigvals(operator)
-    mu_guess = float(np.max(np.abs(lam)))
-    if can_decouple and _rayleigh_damped(model):
-        return _decoupled_radius(lam, model.a1, model.a2, floor), mu_guess, True
-    return dense_radius, mu_guess, False
+    lam = np.linalg.eigvals(operator).astype(complex)
+    if decouples and _rayleigh_damped(model):
+        return lam, None
+    k = model.dim
+    first_order = np.block([[np.zeros((k, k)), np.eye(k)], [-operator, -left @ model.damping]])
+    return lam, (np.linalg.eigvals(first_order),
+                 lambda dt: spectral_radius(step_matrix(dt)).radius)
 
 
 def critical_dt_report(model):
@@ -364,19 +388,24 @@ def critical_dt_report(model):
 
     Full-order models and symmetric reduced models (Galerkin, ECSW) get
     the exact modal treatment.  Nonsymmetric reduced operators (DEIM,
-    GNAT, projected collocation) have no modal decomposition; their
-    report comes from bisection on the spectral radius of the one-step
-    transfer matrix and is tagged ``amplification-bisection``, as is the
-    report for a naive-collocation :class:`SampledModel`, whose one-step
-    matrix is :func:`sampled_step_matrix`.
+    GNAT, projected collocation) and the naive-collocation
+    :class:`SampledModel` (one-step matrix :func:`sampled_step_matrix`)
+    have no modal decomposition; ``mu_max`` is then the largest
+    eigenvalue magnitude of ``inv(M_r) K_r``.
 
     With Rayleigh reduced damping (``max |C_r - a1 M_r - a2 K_r|`` within
     1e-10 of ``max |C_r|``, and for a sampled model also
-    ``pinv(P.T V) P.T V = I`` within 1e-10) each radius comes from the
-    eigenvalues of ``inv(M_r) K_r``, computed once; otherwise (DEIM and
-    GNAT with ``a1 > 0``, hand-built damping) from ``eigvals`` of the
-    dense one-step matrix.  Both give the same radius; the bisection is
-    the same.  A non-finite operator raises :class:`ValueError`.
+    ``pinv(P.T V) P.T V = I`` within 1e-10) the step is the smallest of
+    the per-eigenvalue steps of :func:`_exact_steps`
+    (``amplification-exact``).  Otherwise (DEIM and GNAT with ``a1 > 0``,
+    hand-built damping) a first-order eigenvalue with real part above
+    :data:`GROWTH_RTOL` of the largest magnitude means no stable step;
+    without one, the step comes from bisection on the spectral radius of
+    the dense one-step matrix (``amplification-bisection``).  A report
+    with no stable step has ``stable`` false and names the eigenvalue:
+    of those with no step the one of least real part, or the first-order
+    one of largest real part.  A non-finite operator raises
+    :class:`ValueError`.
     """
     if isinstance(model, FullOrderModel):
         mu_max = max_gen_eigenvalue(model.stiffness, model.mass)
@@ -393,14 +422,22 @@ def critical_dt_report(model):
             max(mu_max, 0.0), model.a1, model.a2, model_kind=kind
         )
 
-    radius_at, mu_guess, _ = _step_radius(model)
-    guess = 2.0 / math.sqrt(mu_guess) if mu_guess > 0.0 else 1.0
-    dt = _bisect_critical_dt(radius_at, guess)
-    xi = damping_ratio(mu_guess, model.a1, model.a2) if mu_guess > 0.0 else 0.0
-    return StabilityReport(
-        mu_max=float(mu_guess),
-        xi=float(xi),
-        dt_crit=float(dt),
-        method="amplification-bisection",
-        model_kind=kind,
-    )
+    lam, dense = _step_spectrum(model)
+    mu = float(np.max(np.abs(lam)))
+    xi = float(damping_ratio(mu, model.a1, model.a2)) if mu > 0.0 else 0.0
+    if dense is None:
+        method, steps = "amplification-exact", _exact_steps(lam, model.a1, model.a2)
+        dt = float(np.min(steps))
+        culprit = lam[np.argmin(np.where(steps == 0.0, lam.real, np.inf))]
+    else:
+        method, (nu, radius_at) = "amplification-bisection", dense
+        if np.any(nu.real > GROWTH_RTOL * np.max(np.abs(nu))):
+            dt = 0.0
+        else:
+            dt = _bisect_critical_dt(radius_at, 2.0 / math.sqrt(mu) if mu > 0.0 else 1.0)
+        culprit = nu[np.argmax(nu.real)]
+    if dt > 0.0:
+        return StabilityReport(mu_max=mu, xi=xi, dt_crit=float(dt), method=method,
+                               model_kind=kind)
+    return StabilityReport(mu_max=mu, xi=xi, dt_crit=0.0, method=method, model_kind=kind,
+                           stable=False, eigenvalue=complex(culprit))

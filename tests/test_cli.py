@@ -6,8 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from romstab import PROPERTY_NAMES, read_basis, read_model, read_sample_set
+from romstab import (PROPERTY_NAMES, build_string_model, read_basis, read_model,
+                     read_sample_set, write_model)
+from romstab import cli
 from romstab.cli import _resolve, build_parser, run
+from romstab.verify import frozen_deim_instance
 
 
 def _out(capsys):
@@ -698,6 +701,65 @@ class TestNumericalFailures:
         _, err = _out(capsys)
         assert rc == 6
         assert "eigensolve did not converge" in err
+
+    def test_overflowing_spectrum_writes_nothing(self, tmp_path, capsys):
+        # K = 1e306 with boundary springs: mu_max is about 2e308
+        path = tmp_path / "big.json"
+        rc = run(["build", "string", "--m", "6", "--M", "1", "--K", "1e306",
+                  "-o", str(path)])
+        out, err = _out(capsys)
+        assert rc == 6 and out == ""
+        assert "overflow double precision" in err
+        assert not path.exists()
+
+    def test_overflowing_model_file_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        write_model(build_string_model(6, 1.0, 1e306, 1.0, 99.0), path)
+        rc = run(["timestep", str(path)])
+        out, err = _out(capsys)
+        assert rc == 6 and out == ""
+        assert "overflow double precision" in err
+
+    def test_largest_finite_spectrum_still_builds(self, tmp_path, capsys):
+        rc = run(["build", "string", "--m", "6", "--M", "1", "--K", "1e305",
+                  "--json", "-o", str(tmp_path / "big.json")])
+        out, _ = _out(capsys)
+        assert rc == 0
+        assert json.loads(out)["mu_max"] == pytest.approx(2.000101e307, rel=1e-6)
+
+
+class TestNoStableStep:
+    """A reduction with no stable step exits 7.  No file the CLI reads
+    yields an interpolated reduction, so the frozen DEIM instances come in
+    through ``_load_reduction``."""
+
+    @pytest.fixture(params=range(1, 8))
+    def unstable(self, request, monkeypatch, model5):
+        _, hrom, _ = frozen_deim_instance(seed=request.param, m=8, n_modes=3)
+        monkeypatch.setattr(cli, "_load_reduction", lambda model, opts: hrom)
+        return model5
+
+    def test_timestep_prints_the_report_and_exits_7(self, unstable, capsys):
+        rc = run(["timestep", unstable, "--scale", "0.5"])
+        out, err = _out(capsys)
+        assert rc == 7 and err == ""
+        doc = json.loads(out)
+        assert doc["stable"] is False and doc["dt_crit"] == 0.0
+        assert doc["method"] == "amplification-exact"
+        assert doc["eigenvalue"][0] < 0.0 and doc["eigenvalue"][1] == 0.0
+
+    def test_integrate_dt_frac_exits_7_without_output(self, unstable, tmp_path, capsys):
+        path = tmp_path / "traj.csv"
+        rc = run(["integrate", unstable, "--dt-frac", "0.9", "--steps", "5",
+                  "-o", str(path)])
+        out, err = _out(capsys)
+        assert rc == 7 and out == ""
+        assert "no stable step" in err
+        assert not path.exists()
+
+    def test_integrate_with_explicit_dt_still_runs(self, unstable, tmp_path):
+        assert run(["integrate", unstable, "--dt", "0.01", "--steps", "5",
+                    "-o", str(tmp_path / "traj.csv")]) == 0
 
 
 def _base_args(command, without):

@@ -42,6 +42,7 @@ from romstab import (
     write_weights,
 )
 from romstab.hyper import (
+    _require_full_rank,
     sample_set_from_dict,
     sample_set_to_dict,
     weights_from_dict,
@@ -141,12 +142,23 @@ class TestSampleSet:
          "stiffness row 5 touches DoFs [6] outside the declared stiffness reach"),
         (0.4, 0.0, SampleSet((5,), (5,), (5,)),
          "stiffness row 5 touches DoFs [4, 6] outside the declared stiffness reach"),
+        # reach entries outside the model cover nothing
+        (0.4, 0.0, SampleSet((5,), (-1, 5, 100), (-3, 5, 8, 100)),
+         "stiffness row 5 touches DoFs [4, 6] outside the declared stiffness reach"),
     ])
     def test_reach_error_names_the_first_leaking_row(self, a1, a2, samples, message):
         model = _string(8, a1=a1, a2=a2, bf=0.0)  # tridiagonal K
         basis = modal_basis(model, [0])
         with pytest.raises(ValueError, match=re.escape(message)):
             collocate_naive(model, basis, samples)
+
+    def test_reach_beyond_the_model_is_accepted(self):
+        model = _string(8, a1=0.4, a2=0.1, bf=0.0)
+        basis = modal_basis(model, [0])
+        plain = SampleSet((5,), (4, 5, 6), (4, 5, 6))
+        padded = SampleSet((5,), (-2, 4, 5, 6, 8, 40), (4, 5, 6, 9))
+        assert np.array_equal(collocate_naive(model, basis, padded).stiffness,
+                              collocate_naive(model, basis, plain).stiffness)
 
 
 class TestDeimPoints:
@@ -300,6 +312,27 @@ class TestGnatReduce:
         expect_k = left @ (model.stiffness[rows] @ v)
         assert np.abs(hrom.stiffness - expect_k).max() < 1e-11
         assert hrom.provenance == "gnat"
+
+    def test_one_svd_gives_numpys_pseudoinverse(self):
+        """The rank check's SVD yields ``np.linalg.pinv(a, rcond=1e-12)`` bit
+        for bit, for the force block and the naive-collocation basis block."""
+        rng = np.random.default_rng(70)
+        for shape in ((1, 1), (4, 4), (7, 3), (30, 30), (45, 30), (300, 30)):
+            a = rng.standard_normal(shape) * rng.uniform(1e-3, 1e3)
+            for view in (a, np.asfortranarray(a)):
+                assert np.array_equal(_require_full_rank(view, "a", pinv=True),
+                                      np.linalg.pinv(view, rcond=1e-12))
+        model = _string(12, a1=0.05, a2=0.01)
+        basis = _mass_basis(rng, model, 3)
+        hrom = collocate_naive(model, basis, SampleSet.from_model(model, [0, 3, 5, 8, 11]))
+        assert np.array_equal(hrom.row_basis_pinv, np.linalg.pinv(hrom.row_basis, rcond=1e-12))
+        u, _ = np.linalg.qr(rng.standard_normal((12, 3)))
+        rows = [1, 4, 6, 9]
+        v = basis.matrix
+        left = (v.T @ u) @ np.linalg.pinv(u[rows], rcond=1e-12)
+        op = model.operator
+        assert np.array_equal(gnat_reduce(model, basis, u, rows).stiffness,
+                              left @ op.rows_times(op.stiffness, v, np.array(rows)))
 
     def test_needs_enough_rows(self):
         model = _string(6)

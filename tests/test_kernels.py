@@ -12,6 +12,7 @@ import pytest
 from romstab import (
     EigenPairs,
     InfeasibleError,
+    NumericalRangeError,
     RankDeficiencyError,
     SpectralRadius,
     gen_eig_diag_mass,
@@ -23,7 +24,7 @@ from romstab import (
     symmetrize,
     thin_svd,
 )
-from romstab.kernels import require_positive_diagonal, require_symmetric
+from romstab.kernels import max_gen_eigenvalue, require_positive_diagonal, require_symmetric
 
 
 def _charpoly_roots(a):
@@ -102,6 +103,35 @@ class TestGeneralizedDiagonalMass:
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(ValueError):
             gen_eig_diag_mass(np.eye(2), np.array([1.0, 0.0]))
+
+    def test_power_of_two_scaling_keeps_every_bit(self):
+        """The overflow guard scales by a power of four through M**-1/2:
+        eigenvalues and vectors equal those of the unscaled similarity bit
+        for bit."""
+        rng = np.random.default_rng(8)
+        for m in (2, 5, 17, 60):
+            mass = rng.uniform(0.3, 3.0, m)
+            b = rng.standard_normal((m, m)) * rng.uniform(1e-3, 1e6)
+            stiffness = symmetrize(b @ b.T)
+            s = 1.0 / np.sqrt(mass)
+            plain = stiffness * np.outer(s, s)
+            pairs = gen_eig_diag_mass(stiffness, mass)
+            expected = np.linalg.eigh(plain)
+            assert np.array_equal(pairs.values, expected[0])
+            assert np.array_equal(pairs.vectors, expected[1])
+            assert max_gen_eigenvalue(stiffness, mass) == np.linalg.eigvalsh(plain)[-1]
+
+    def test_spectrum_near_the_double_limit(self):
+        # mu_max near the top of the double range stays finite; beyond it
+        # the eigensolve would return NaN, which is a typed error instead
+        stiffness = np.array([[1e308, -1e307], [-1e307, 1e307]])
+        mass = np.array([0.75, 1.0])
+        mu = max_gen_eigenvalue(stiffness, mass)
+        assert np.isfinite(mu) and mu == pytest.approx(1e308 / 0.75, rel=1e-2)
+        with pytest.raises(NumericalRangeError, match="overflow double precision"):
+            max_gen_eigenvalue(stiffness, np.array([0.25, 1.0]))
+        with pytest.raises(NumericalRangeError):
+            gen_eig_diag_mass(stiffness, np.array([0.25, 1.0]))
 
 
 class TestThinSvd:

@@ -41,8 +41,13 @@ from romstab import (
 from romstab.hyper import SampledModel, sampled_step_matrix
 from romstab.kernels import max_gen_eigenvalue
 from romstab.reduction import ReducedModel
-from romstab.stability import _bisect_critical_dt, _step_radius
-from romstab.verify import _random_chain
+from romstab import stability
+from romstab.errors import RankDeficiencyError
+from romstab.integrator import integrate
+from romstab.reduction import snapshots_from_trajectory
+from romstab.stability import _bisect_critical_dt, _exact_steps, _step_spectrum
+from romstab.verify import (_random_chain, _random_mass_basis, _random_spd_pencil,
+                            frozen_deim_instance)
 
 
 def _string(m=5, a1=0.0, a2=0.0, bf=99.0, K=10.0):
@@ -341,7 +346,7 @@ class TestReportDispatch:
         rows = [0, 2, 5, 8]
         hrom = collocate_naive(model, basis, SampleSet.from_model(model, rows))
         report = critical_dt_report(hrom)
-        assert report.method == "amplification-bisection"
+        assert report.method == "amplification-exact"
         assert report.model_kind == "hrom"
         dt = report.dt_crit
         below = spectral_radius(sampled_step_matrix(hrom, 0.999 * dt)).radius
@@ -357,7 +362,7 @@ class TestReportDispatch:
         rom = collocate_projected(model, basis,
                                   SampleSet.from_model(model, [0, 3, 5, 7]))
         report = critical_dt_report(rom)
-        assert report.method == "amplification-bisection"
+        assert report.method == "amplification-exact"
         dt = report.dt_crit
 
         def rho(step):
@@ -414,8 +419,34 @@ def _dense_radius(model):
     ).radius
 
 
-def _dense_dt_crit(model, mu_guess):
-    return _bisect_critical_dt(_dense_radius(model), 2.0 / math.sqrt(mu_guess))
+def _dense_dt_crit(model, mu_guess, slack=1e-9):
+    """Dense-radius bisection; it accepts radii up to ``1 + slack``."""
+    radius = _dense_radius(model)
+    return _bisect_critical_dt(lambda dt: radius(dt) + (1e-9 - slack),
+                               2.0 / math.sqrt(mu_guess))
+
+
+def _decoupled_radius(lam, a1, a2, floor):
+    """Oracle: spectral radius of the one-step matrix from the eigenvalues
+    ``lam`` of ``inv(M_r) K_r``, for Rayleigh damping ``c = a1 + a2 lam``.
+
+    The roots of ``z^2 - (2 - dt q) z + (1 - dt c)``, ``q = dt lam + c``,
+    are ``1 - dt (q -+ sqrt(q^2 - 4 lam)) / 2``; the discriminant in that
+    form has no ``b^2 - 4 c`` cancellation at small ``dt``.  ``floor``
+    bounds the radius below (eigenvalues of the one-step matrix that do
+    not come from ``lam``).
+    """
+    lam = np.asarray(lam, dtype=complex)
+    c = a1 + a2 * lam
+
+    def radius_at(dt):
+        q = dt * lam + c
+        half = 0.5 * dt * np.sqrt(q * q - 4.0 * lam)
+        mid = 1.0 - 0.5 * dt * q
+        top = np.maximum(np.abs(mid + half), np.abs(mid - half))
+        return max(floor, float(np.max(top)))
+
+    return radius_at
 
 
 DECOUPLED_CASES = [
@@ -430,14 +461,16 @@ DECOUPLED_CASES = [
 
 
 class TestDecoupledRadius:
-    """Rayleigh-damped reductions take their radius from the eigenvalues
-    of ``inv(M_r) K_r``; the dense one-step matrix is the oracle."""
+    """Rayleigh-damped reductions take their step from the eigenvalues of
+    ``inv(M_r) K_r``; the dense one-step matrix is the oracle."""
 
     @pytest.mark.parametrize("kind,a1", DECOUPLED_CASES)
     def test_radius_matches_dense_one_step_matrix(self, kind, a1):
         rom = _sampled_reduction(kind, a1)
-        radius_at, _, decoupled = _step_radius(rom)
-        assert decoupled
+        lam, dense = _step_spectrum(rom)
+        assert dense is None
+        floor = 1.0 if kind == "naive-rect" else 0.0
+        radius_at = _decoupled_radius(lam, rom.a1, rom.a2, floor)
         dense = _dense_radius(rom)
         dt = critical_dt_report(rom).dt_crit
         for factor in (0.5, 0.99, 1.01, 2.0):
@@ -448,20 +481,26 @@ class TestDecoupledRadius:
     @pytest.mark.parametrize("kind,a1", DECOUPLED_CASES)
     def test_dt_crit_matches_dense_bisection(self, kind, a1):
         rom = _sampled_reduction(kind, a1)
-        _, mu_guess, _ = _step_radius(rom)
+        lam, _ = _step_spectrum(rom)
+        mu_guess = float(np.max(np.abs(lam)))
         report = critical_dt_report(rom)
-        assert report.method == "amplification-bisection"
+        assert report.method == "amplification-exact"
+        assert report.stable
         assert report.mu_max == mu_guess
         assert report.dt_crit > 0.1  # a genuine step, not a slack artifact
         assert report.dt_crit == pytest.approx(
             _dense_dt_crit(rom, mu_guess), rel=1e-8
         )
+        # naive-rect's p - k unit one-step eigenvalues leave eigvals as 1 + O(eps)
+        assert _dense_radius(rom)(0.999 * report.dt_crit) <= 1.0 + 1e-12
 
     def test_non_rayleigh_deim_takes_the_dense_path(self):
         rom = _sampled_reduction("deim", a1=0.5)
-        radius_at, mu_guess, decoupled = _step_radius(rom)
-        assert not decoupled
-        assert critical_dt_report(rom).dt_crit == _dense_dt_crit(rom, mu_guess)
+        lam, dense = _step_spectrum(rom)
+        assert dense is not None
+        report = critical_dt_report(rom)
+        assert report.method == "amplification-bisection"
+        assert report.dt_crit == _dense_dt_crit(rom, float(np.max(np.abs(lam))))
 
     def test_hand_built_damping_takes_the_dense_path(self):
         rng = np.random.default_rng(97)
@@ -478,9 +517,11 @@ class TestDecoupledRadius:
             a2=0.01,
             mass_is_identity=True,
         )
-        _, mu_guess, decoupled = _step_radius(rom)
-        assert not decoupled
-        assert critical_dt_report(rom).dt_crit == _dense_dt_crit(rom, mu_guess)
+        lam, dense = _step_spectrum(rom)
+        assert dense is not None
+        report = critical_dt_report(rom)
+        assert report.method == "amplification-bisection"
+        assert report.dt_crit == _dense_dt_crit(rom, float(np.max(np.abs(lam))))
 
     @pytest.mark.parametrize("field", ["stiffness", "damping"])
     @pytest.mark.parametrize("kind", ["projected", "naive-rect"])
@@ -491,6 +532,292 @@ class TestDecoupledRadius:
         rom = dataclasses.replace(rom, **{field: broken})
         with pytest.raises(ValueError, match="non-finite"):
             critical_dt_report(rom)
+
+
+def _planted(lams, a1=0.0, a2=0.0, mix=0.0, damping=None, seed=0):
+    """Nonsymmetric reduced model with ``inv(M_r) K_r`` similar to a real
+    block diagonal: one entry per real ``lam``, a 2 x 2 block
+    ``[[Re, Im], [-Im, Re]]`` per complex one (so its conjugate joins).
+    ``mix`` sizes the random similarity; the damping is Rayleigh unless
+    given."""
+    blocks = [np.array([[z.real, z.imag], [-z.imag, z.real]]) if z.imag else
+              np.array([[z.real]]) for z in map(complex, lams)]
+    k = sum(len(b) for b in blocks)
+    diag, at = np.zeros((k, k)), 0
+    for b in blocks:
+        diag[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    s = np.eye(k) + mix * np.random.default_rng(seed).standard_normal((k, k))
+    stiffness = s @ diag @ np.linalg.inv(s)
+    return ReducedModel(
+        mass=np.eye(k),
+        damping=a1 * np.eye(k) + a2 * stiffness if damping is None else damping,
+        stiffness=stiffness,
+        provenance="deim",
+        symmetric=False,
+        basis=ReducedBasis(np.eye(k + 1)[:, :k], "plain-orthonormal"),
+        a1=a1,
+        a2=a2,
+        mass_is_identity=True,
+    )
+
+
+def _mp_radius(lam, a1, a2, dt):
+    """Largest root modulus of the one-step quadratic, with 40 digits."""
+    with mpmath.workdps(40):
+        lam, dt = mpmath.mpc(lam), mpmath.mpf(dt)
+        c = a1 + a2 * lam
+        b, c0 = -(2 - dt * c - dt * dt * lam), 1 - dt * c
+        disc = mpmath.sqrt(b * b - 4 * c0)
+        return max(abs((-b + disc) / 2), abs((-b - disc) / 2))
+
+
+def _frozen_600(kind, seed=0):
+    """Interpolation at benchmark size: m = 600 string, a1 = 0, a2 = 1e-4, the 40 lowest
+    modes, and a force basis (40 columns) of K times 201 snapshots of a
+    white-noise start; DEIM takes 40 points and GNAT 60 rows."""
+    model = _string(600, a1=0.0, a2=1e-4)
+    rng = np.random.default_rng(seed)
+    dt = 0.9 * critical_dt_report(model).dt_crit
+    run = integrate(model, rng.standard_normal(600), np.zeros(600), 200 * dt, dt)
+    force_basis, _, _ = thin_svd(model.stiffness @ snapshots_from_trajectory(run))
+    rows = deim_points(force_basis[:, :60])
+    basis = modal_basis(model, range(40))
+    if kind == "deim":
+        return deim_reduce(model, basis, force_basis[:, :40], rows[:40])
+    return gnat_reduce(model, basis, force_basis[:, :40], rows)
+
+
+class TestExactSteps:
+    """The per-eigenvalue stable interval from 0+ in closed form."""
+
+    @pytest.mark.parametrize("seed", range(1, 8))
+    def test_frozen_deim_instances_have_no_stable_step(self, seed):
+        _, hrom, _ = frozen_deim_instance(seed=seed, m=8, n_modes=3)
+        report = critical_dt_report(hrom)
+        assert report.method == "amplification-exact"
+        assert not report.stable and report.dt_crit == 0.0
+        lam, _ = _step_spectrum(hrom)
+        assert report.eigenvalue == lam[np.argmin(lam.real)]
+        assert report.eigenvalue.real < 0.0 and report.eigenvalue.imag == 0.0
+        # the amplification radius exceeds 1 at every small step
+        for dt in (1e-9, 1e-4, 1e-1):
+            assert _mp_radius(report.eigenvalue, 0.0, 0.0, dt) > 1
+        doc = report.to_dict()
+        assert doc["stable"] is False
+        assert doc["eigenvalue"] == [report.eigenvalue.real, 0.0]
+
+    @pytest.mark.parametrize("kind", ["deim", "gnat"])
+    def test_benchmark_size_interpolation_has_no_stable_step(self, kind):
+        report = critical_dt_report(_frozen_600(kind))
+        assert report.method == "amplification-exact"
+        assert not report.stable and report.dt_crit == 0.0
+        assert report.eigenvalue.real < 0.0
+
+    @pytest.mark.parametrize("a1,a2", [(0.0, 0.0), (0.3, 0.05)])
+    def test_planted_negative_eigenvalue(self, a1, a2):
+        report = critical_dt_report(_planted([-0.5, 1.0, 4.0], a1, a2, mix=0.3))
+        assert not report.stable
+        assert report.eigenvalue == pytest.approx(-0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("lam,a1,a2,stable", [
+        (4 + 0.5j, 0.0, 0.0, False),   # undamped: the conjugate pair splits off the circle
+        (4 + 0.5j, 0.0, 0.1, True),    # damping beats the small-step growth
+        (4 + 0.5j, 0.5, 0.0, True),
+        (4 + 3.0j, 0.0, 0.01, False),  # growth beats the damping
+        (-1 + 2.0j, 0.2, 0.0, False),
+    ])
+    def test_planted_complex_eigenvalue(self, lam, a1, a2, stable):
+        rom = _planted([lam, 1.0], a1, a2, mix=0.3)
+        report = critical_dt_report(rom)
+        assert report.method == "amplification-exact"
+        assert report.stable is stable
+        if not stable:
+            assert report.eigenvalue == pytest.approx(
+                lam if report.eigenvalue.imag > 0 else lam.conjugate(), rel=1e-12
+            )
+            assert _mp_radius(lam, a1, a2, 1e-6) > 1
+            return
+        dt = report.dt_crit
+        assert dt == pytest.approx(_dense_dt_crit(rom, report.mu_max), rel=1e-8)
+        assert _dense_radius(rom)(0.999 * dt) <= 1.0
+        assert _dense_radius(rom)(1.001 * dt) > 1.0
+
+    def test_random_stable_instances_match_dense_bisection(self):
+        rng = np.random.default_rng(99)
+        checked = 0
+        while checked < 25:
+            n = int(rng.integers(1, 4))
+            lams = list(rng.uniform(0.5, 10.0, n) + 1j * rng.uniform(0.0, 2.0, n))
+            lams += list(rng.uniform(0.1, 10.0, int(rng.integers(0, 3))))
+            a1, a2 = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.05, 0.5))
+            steps = _exact_steps(np.array(lams, dtype=complex), a1, a2)
+            if np.min(steps) == 0.0:
+                continue
+            rom = _planted(lams, a1, a2, mix=0.3, seed=checked)
+            report = critical_dt_report(rom)
+            assert report.stable
+            # a small radius slope at the boundary turns the default
+            # 1e-9 slack into more than 1e-8 of the step
+            assert report.dt_crit == pytest.approx(
+                _dense_dt_crit(rom, report.mu_max, slack=1e-13), rel=1e-8
+            )
+            assert _dense_radius(rom)(0.999 * report.dt_crit) <= 1.0
+            checked += 1
+
+    def test_complex_boundary_matches_mpmath(self):
+        """The closed-form right end against a 40-digit bisection of the
+        largest root modulus of the one-step quadratic."""
+        rng = np.random.default_rng(100)
+        checked = 0
+        with mpmath.workdps(40):
+            while checked < 30:
+                lam = complex(rng.uniform(-1.0, 10.0), rng.uniform(0.01, 3.0))
+                a1, a2 = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 0.5))
+                step = float(_exact_steps(np.array([lam]), a1, a2)[0])
+                if step == 0.0:
+                    assert _mp_radius(lam, a1, a2, 1e-8) > 1
+                    continue
+                lo, hi = mpmath.mpf(step) / 2, mpmath.mpf(step) * 2
+                assert _mp_radius(lam, a1, a2, lo) <= 1 < _mp_radius(lam, a1, a2, hi)
+                for _ in range(120):
+                    mid = (lo + hi) / 2
+                    lo, hi = (lo, mid) if _mp_radius(lam, a1, a2, mid) > 1 else (mid, hi)
+                assert abs(step - float(lo)) <= 1e-12 * step
+                checked += 1
+
+    def test_real_positive_is_the_modal_formula(self):
+        lams = np.array([0.5, 3.0, 2000.101], dtype=complex)
+        steps = _exact_steps(lams, 0.2, 1e-4)
+        assert np.array_equal(steps, critical_dt_at_frequency(np.sqrt(lams.real), 0.2, 1e-4))
+
+    @pytest.mark.parametrize("a1,a2", [(0.0, 0.0), (0.0, 1e-4)])
+    def test_round_off_pair_counts_as_real(self, a1, a2):
+        """A double eigenvalue that ``eigvals`` returns as a pair with
+        ``|Im| = 1e-12`` keeps the real step, damped or not."""
+        rom = _planted([2000.101 + 1e-12j, 500.0], a1, a2)
+        report = critical_dt_report(rom)
+        assert report.stable
+        assert report.dt_crit == pytest.approx(
+            critical_dt_at_frequency(math.sqrt(2000.101), a1, a2), rel=1e-12
+        )
+
+    def test_imaginary_part_above_round_off_is_complex(self):
+        lam = 2000.101 + 2000.101 * 1e-9j
+        assert critical_dt_report(_planted([lam], 0.0, 0.0)).stable is False
+        step = _exact_steps(np.array([lam]), 0.0, 1e-4)[0]
+        assert 0.0 < step < critical_dt_at_frequency(math.sqrt(2000.101), 0.0, 1e-4)
+
+    def test_rigid_and_round_off_negative_eigenvalues(self):
+        # |lam| <= 1e-10 max|lam| is rigid: 2 / a1, or no limit when a1 = 0
+        lams = np.array([-1e-12, 0.0, 1e-11, 4.0], dtype=complex)
+        assert np.array_equal(_exact_steps(lams, 0.5, 0.0)[:3], [4.0, 4.0, 4.0])
+        assert np.all(np.isinf(_exact_steps(lams, 0.0, 0.0)[:3]))
+        assert critical_dt_report(_planted([-1e-11, 4.0], 0.0, 0.0)).dt_crit == 1.0
+        all_rigid = _planted([0.0, 0.0], 0.5, 0.0)
+        assert critical_dt_report(all_rigid).dt_crit == 4.0
+        assert critical_dt_report(_planted([0.0, 0.0])).dt_crit == math.inf
+
+    def test_sampled_unit_eigenvalues_do_not_limit_the_step(self):
+        rom = _sampled_reduction("naive-rect")
+        assert rom.row_basis.shape[0] > rom.dim
+        report = critical_dt_report(rom)
+        assert report.stable and report.dt_crit > 0.1
+        # the p - k unit one-step eigenvalues hold the dense radius at 1
+        assert _dense_radius(rom)(0.5 * report.dt_crit) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestDensePath:
+    """Non-Rayleigh damping: one first-order eigensolve, then bisection."""
+
+    def _growing(self):
+        # inv(M_r) C_r with a negative diagonal entry: the first-order
+        # matrix has an eigenvalue with positive real part
+        damping = np.diag([0.2, -0.3, 0.1])
+        return _planted([1.0, 4.0, 9.0], 0.0, 0.01, mix=0.2, damping=damping)
+
+    def test_first_order_growth_is_reported(self):
+        rom = self._growing()
+        report = critical_dt_report(rom)
+        assert report.method == "amplification-bisection"
+        assert not report.stable and report.dt_crit == 0.0
+        k = rom.dim
+        first_order = np.block([[np.zeros((k, k)), np.eye(k)],
+                                [-rom.stiffness, -rom.damping]])
+        nu = np.linalg.eigvals(first_order)
+        assert report.eigenvalue == nu[np.argmax(nu.real)]
+        assert report.eigenvalue.real > 0.0
+        assert _dense_radius(rom)(1e-4) > 1.0
+
+    def test_no_step_from_bisection_is_reported_not_raised(self, monkeypatch):
+        rom = _sampled_reduction("deim", a1=0.5)
+        monkeypatch.setattr(stability, "_bisect_critical_dt", lambda *args: 0.0)
+        report = critical_dt_report(rom)
+        assert not report.stable and report.dt_crit == 0.0
+        assert report.method == "amplification-bisection"
+
+    def test_damped_dense_path_stays_stable(self):
+        rom = _sampled_reduction("deim", a1=0.5)
+        report = critical_dt_report(rom)
+        assert report.stable and report.to_dict().keys() == {
+            "mu_max", "xi", "dt_crit", "method", "model_kind"}
+
+
+def _reductions(rng, model, k):
+    """Every reduction of ``model`` onto ``k`` random mass-orthonormal
+    columns that the sampling admits."""
+    basis = ReducedBasis(_random_mass_basis(rng, model, k), MASS_ORTHONORMAL,
+                         mass=model.mass)
+    m = model.m
+    rows = sorted(rng.choice(m, size=int(rng.integers(k, m + 1)), replace=False).tolist())
+    force_basis, _, _ = thin_svd(model.stiffness @ rng.standard_normal((m, 2 * k)))
+    builders = [
+        lambda: galerkin_reduce(model, basis),
+        lambda: ecsw_reduce(model, rng.uniform(0.0, 2.0, m - 1), basis),
+        lambda: collocate_projected(model, basis, SampleSet.from_model(model, rows)),
+        lambda: collocate_naive(model, basis, SampleSet.from_model(model, rows)),
+        lambda: deim_reduce(model, basis, force_basis[:, :k],
+                            deim_points(force_basis[:, :k])),
+        lambda: gnat_reduce(model, basis, force_basis[:, :k],
+                            deim_points(force_basis[:, :min(2 * k, m)])),
+    ]
+    out = []
+    for build in builders:
+        try:
+            out.append(build())
+        except RankDeficiencyError:
+            pass
+    return out
+
+
+class TestReportNeverRaises:
+    def test_every_generator_instance_gets_a_report(self):
+        rng = np.random.default_rng(101)
+        models = []
+        for trial in range(24):
+            m = int(rng.integers(4, 14))
+            a1, a2 = (0.0, 0.0) if trial % 3 == 0 else tuple(rng.uniform(0.0, 0.5, 2))
+            models.append(_random_chain(rng, m, bool(trial % 2), float(a1), float(a2)))
+        systems = []
+        for model in models:
+            systems.append(model)
+            systems += _reductions(rng, model, int(rng.integers(1, min(model.m - 1, 5) + 1)))
+        systems += [_random_spd_pencil(rng, int(rng.integers(2, 10)), bool(d))
+                    for d in (0, 1, 0, 1)]
+        for seed in range(40):
+            for m, n_modes in ((6, 2), (8, 3), (10, 4)):
+                try:
+                    systems.append(frozen_deim_instance(seed, m, n_modes)[1])
+                except RankDeficiencyError:
+                    pass
+        unstable = 0
+        for system in systems:
+            report = critical_dt_report(system)
+            values = (report.mu_max, report.xi, report.dt_crit)
+            assert not any(math.isnan(v) for v in values)
+            assert report.stable == (report.dt_crit > 0.0)
+            unstable += not report.stable
+        assert len(systems) > 200 and unstable > 0
 
 
 class TestStabilityReportRecord:
@@ -512,3 +839,24 @@ class TestStabilityReportRecord:
         with pytest.raises(ValueError):
             StabilityReport(mu_max=1.0, xi=0.0, dt_crit=0.0,
                             method="modal-exact", model_kind="fom")
+
+    def test_unstable_report_rules(self):
+        report = StabilityReport(mu_max=1.0, xi=0.0, dt_crit=0.0,
+                                 method="amplification-exact", model_kind="hrom",
+                                 stable=False, eigenvalue=-2.0 + 0.5j)
+        assert report.to_dict() == {
+            "mu_max": 1.0, "xi": 0.0, "dt_crit": 0.0,
+            "method": "amplification-exact", "model_kind": "hrom",
+            "stable": False, "eigenvalue": [-2.0, 0.5],
+        }
+        for dt, eigenvalue in ((1e-3, -2.0 + 0j), (0.0, None)):
+            with pytest.raises(ValueError, match="unstable report"):
+                StabilityReport(mu_max=1.0, xi=0.0, dt_crit=dt,
+                                method="amplification-exact", model_kind="hrom",
+                                stable=False, eigenvalue=eigenvalue)
+
+    @pytest.mark.parametrize("field", ["mu_max", "xi", "dt_crit"])
+    def test_nan_is_rejected(self, field):
+        values = {"mu_max": 1.0, "xi": 0.0, "dt_crit": 1.0, field: math.nan}
+        with pytest.raises(ValueError):
+            StabilityReport(method="modal-exact", model_kind="fom", **values)
