@@ -443,12 +443,15 @@ def ecsw_training_system(model, basis, snapshots):
         raise ValueError(
             f"snapshots shaped {snaps.shape} do not match model order {model.m}"
         )
-    v = basis.matrix
+    v, es = basis.matrix, model.elements
     reduced_coords = v.T @ (model.mass[:, None] * snaps)
-    ve = v[model.elements.dofs]  # (E, n, k)
-    fe = model.elements.stiffness @ (ve @ reduced_coords)  # (E, n, n_s)
-    projected = ve.transpose(0, 2, 1) @ fe  # (E, k, n_s); G row s * k + i
-    g = projected.transpose(2, 1, 0).reshape(-1, len(model.elements))
+    g = np.empty((snaps.shape[1] * v.shape[1], len(es)))  # G row s * k + i
+    # element blocks of at most ~256 KiB, so no second full copy of G is held
+    step = max(1, 2**15 // max(1, g.shape[0]))
+    for e in range(0, len(es), step):
+        ve = v[es.dofs[e:e + step]]  # (c, n, k)
+        fe = es.stiffness[e:e + step] @ (ve @ reduced_coords)  # (c, n, n_s)
+        g[:, e:e + step] = (ve.transpose(0, 2, 1) @ fe).transpose(2, 1, 0).reshape(g.shape[0], -1)
     return g, g.sum(axis=1)
 
 

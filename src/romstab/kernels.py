@@ -12,7 +12,9 @@ Eigen/SVD/QR work is delegated to numpy's LAPACK bindings; the routines
 here add the contracts the rest of the package relies on (ordering,
 rank checks, error types).  ``sparse_nnls`` is implemented directly
 because its termination rule — stop as soon as the residual drops below
-a relative tolerance — is part of its contract.
+a relative tolerance — is part of its contract.  It is a Lawson-Hanson
+active set on an updated thin QR factor of the support, so a pass costs
+one product with the full matrix plus work on the support alone.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "sym_eig",
     "gen_eig_diag_mass",
     "max_gen_eigenvalue",
+    "block_max_gen_eigenvalues",
     "thin_svd",
     "m_orthonormalize",
     "pseudoinverse",
@@ -89,7 +92,7 @@ def require_psd(a, name, rtol):
         raise ConvergenceError(f"symmetric eigensolve did not converge: {exc}") from exc
     lowest = eigs[..., 0]
     scale = np.maximum(np.max(np.abs(eigs), axis=-1), 1e-300)
-    failed = lowest < -rtol * scale
+    failed = ~(lowest >= -rtol * scale)  # a NaN fails too
     if np.any(failed):
         i = int(np.argmax(failed))
         raise ValueError(
@@ -152,23 +155,29 @@ def sym_eig(a):
     return EigenPairs(values, vectors)
 
 
-def _mass_normalized(stiffness, mass):
-    """``(S, e)``, ``2**e S`` the symmetric similarity ``M**-1/2 K M**-1/2`` of
-    ``inv(M) K``.  ``2**e``, a power of four near the largest diagonal entry of ``K``
-    (which bounds ``|K|`` when ``K`` is PSD), keeps the product finite near the top
-    of the double range; applied through ``M**-1/2`` it is exact, so every bit stays."""
+def _pencil(stiffness, mass):
+    """``(K, M)`` validated: ``K`` exactly symmetric, ``M`` a positive diagonal of its order."""
     stiffness = require_symmetric(stiffness, "stiffness")
     mass = require_positive_diagonal(mass, "mass")
     if mass.shape[0] != stiffness.shape[0]:
         raise ValueError(
             f"order mismatch: stiffness {stiffness.shape[0]}, mass {mass.shape[0]}"
         )
-    peak = float(np.max(np.abs(np.diagonal(stiffness)), initial=0.0))
-    half = math.frexp(peak)[1] // 2 if peak > 0.0 else 0
-    inv_sqrt = 1.0 / np.sqrt(mass) / math.ldexp(1.0, half)
-    # np.outer(s, s) is exactly symmetric (IEEE multiplication commutes),
-    # so the elementwise product with an exactly symmetric K is too.
-    return stiffness * np.outer(inv_sqrt, inv_sqrt), 2 * half
+    return stiffness, mass
+
+
+def _mass_normalized(stiffness, mass):
+    """``(S, e)``, ``2**e S`` the symmetric similarity ``M**-1/2 K M**-1/2`` of
+    ``inv(M) K``, for one pencil or a stack.  ``2**e``, a power of four near the
+    largest diagonal entry of ``K`` (which bounds ``|K|`` when ``K`` is PSD), keeps
+    the product finite near the top of the double range; applied through
+    ``M**-1/2`` it is exact, so every bit stays."""
+    peak = np.max(np.abs(np.diagonal(stiffness, 0, -2, -1)), axis=-1, initial=0.0)
+    half = np.frexp(peak)[1] // 2
+    inv_sqrt = np.ldexp(1.0 / np.sqrt(mass), -half[..., None])
+    # s_i s_j is exactly s_j s_i (IEEE multiplication commutes),
+    # so the elementwise product with an exactly symmetric K is symmetric too.
+    return stiffness * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :]), 2 * half
 
 
 def _scaled_back(values, exponent):
@@ -200,7 +209,7 @@ def gen_eig_diag_mass(stiffness, mass):
         eigenvectors of ``inv(M) K`` itself.
     An eigenvalue beyond the double range raises :class:`NumericalRangeError`.
     """
-    normalized, exponent = _mass_normalized(stiffness, mass)
+    normalized, exponent = _mass_normalized(*_pencil(stiffness, mass))
     pairs = sym_eig(normalized)
     return EigenPairs(_scaled_back(pairs.values, exponent), pairs.vectors)
 
@@ -208,12 +217,19 @@ def gen_eig_diag_mass(stiffness, mass):
 def max_gen_eigenvalue(stiffness, mass):
     """Largest eigenvalue of ``inv(M) K``, as :func:`gen_eig_diag_mass` but
     without computing eigenvectors."""
+    return float(block_max_gen_eigenvalues(*_pencil(stiffness, mass)))
+
+
+def block_max_gen_eigenvalues(stiffness, mass):
+    """Largest eigenvalue of ``inv(M) K`` for each pencil of a stack, ``(..., n, n)``
+    and ``(..., n)`` in, ``(...)`` out, unvalidated; scaled by :func:`_mass_normalized`,
+    so one beyond the double range raises :class:`NumericalRangeError`."""
     normalized, exponent = _mass_normalized(stiffness, mass)
     try:
-        values = np.linalg.eigvalsh(normalized)
+        values = np.linalg.eigvalsh(normalized)[..., -1]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolve did not converge: {exc}") from exc
-    return float(_scaled_back(values, exponent)[-1])
+    return _scaled_back(values, exponent)
 
 
 def thin_svd(snapshots):
@@ -286,6 +302,19 @@ def sparse_nnls(columns, target, tau):
     re-fit on the support with sign feasibility maintained, and stop as
     soon as ``norm(G x - b) <= tau * norm(b)``.
 
+    A pass costs one product ``G.T r`` plus work on the support: the fits solve
+    ``R z = Q.T b`` with a thin QR factor ``G[:, support] = Q R``, appended to by
+    two passes of classical Gram-Schmidt; a drop re-factors ``R[:, kept]`` with
+    ``np.linalg.qr``.  The residual is ``b - Q (Q.T b)``.  Once it meets the
+    tolerance, one ``np.linalg.lstsq`` on the support (columns in order of entry)
+    gives the weights, returned if positive and within tolerance.  Else the
+    factor's are, if they are: at an exact fit a weight of ~1e-16 can be positive
+    in the factor's solve, which kept its column, and not in ``lstsq``'s.  Failing
+    both, the search goes on.  An entering column whose
+    part orthogonal to the support is at most ``1e-8`` of the largest entered
+    column norm is dependent: until the next drop each fit is then that
+    ``lstsq``'s minimum-norm solution, with the residual ``b - G x``.
+
     Parameters
     ----------
     columns : (r, n) array
@@ -318,17 +347,21 @@ def sparse_nnls(columns, target, tau):
         raise ValueError("target vector is zero; tolerance tau*||b|| is degenerate")
 
     n = g.shape[1]
-    x = np.zeros(n)
-    passive: list[int] = []
-    residual = b.copy()
-    best = b_norm
+    passive, xp = [], np.zeros(0)  # the support, in order of entry, and its weights
+    qt, r, qtb = np.zeros((0, g.shape[0])), np.zeros((0, 0)), np.zeros(0)  # Q.T, R, Q.T b
+    factored, col_max = True, 0.0
+    residual, best = b.copy(), b_norm
     # Each outer pass adds one support index; n passes reach the
     # unconstrained optimum, the margin covers drop/re-add cycles.
     for _ in range(3 * n + 30):
         res_norm = float(np.linalg.norm(residual))
         best = min(best, res_norm)
         if res_norm <= tau * b_norm:
-            return x
+            for z in (np.linalg.lstsq(g[:, passive], b, rcond=None)[0], xp):
+                x = np.zeros(n)
+                x[passive] = z
+                if np.all(z > 0.0) and np.linalg.norm(b - g @ x) <= tau * b_norm:
+                    return x
         grad = g.T @ residual
         grad[passive] = -np.inf
         j = int(np.argmax(grad))
@@ -340,29 +373,47 @@ def sparse_nnls(columns, target, tau):
                 best_residual=best,
             )
         passive.append(j)
+        xp = np.append(xp, 0.0)
+        a = g[:, j].copy()
+        col_max = max(col_max, math.sqrt(a @ a))
+        if factored:  # CGS2: w = (I - Q Q.T)^2 a
+            h = qt @ a
+            w = a - h @ qt
+            h2 = qt @ w
+            w -= h2 @ qt
+            nu = math.sqrt(w @ w)
+            factored = nu > 1e-8 * col_max
+            if factored:
+                qt = np.vstack((qt, w / nu))
+                r, r_old = np.zeros((len(h) + 1,) * 2), r
+                r[:-1, :-1], r[:-1, -1], r[-1, -1] = r_old, h + h2, nu
+                qtb = np.append(qtb, qt[-1] @ b)
         # Restore least-squares optimality on the support, dropping
         # variables that a full step would drive negative.
         for _ in range(3 * n + 30):
-            sub = g[:, passive]
-            z, *_ = np.linalg.lstsq(sub, b, rcond=None)
+            z = (np.linalg.solve(r, qtb) if factored
+                 else np.linalg.lstsq(g[:, passive], b, rcond=None)[0])
             if np.all(z > 0.0):
-                x[:] = 0.0
-                x[passive] = z
+                xp = z
                 break
-            xp = x[passive]
             shrink = z <= 0.0
-            steps = xp[shrink] / (xp[shrink] - z[shrink])
-            alpha = float(np.min(steps))
+            alpha = float(np.min(xp[shrink] / (xp[shrink] - z[shrink])))
             xp = xp + alpha * (z - xp)
             keep = xp > 1e-14 * max(1.0, float(np.max(np.abs(xp))))
-            x[:] = 0.0
-            for idx, val, k in zip(passive, xp, keep):
-                if k:
-                    x[idx] = val
             passive = [idx for idx, k in zip(passive, keep) if k]
+            xp = xp[keep]
+            if factored:  # G[:, passive] = Q R[:, keep] = (Q q) r
+                q, r = np.linalg.qr(r[:, keep])
+                qt, qtb = q.T @ qt, q.T @ qtb
+            else:
+                q, r = np.linalg.qr(g[:, passive])
+                qt, qtb = q.T, q.T @ b
+                factored = bool(np.all(np.abs(np.diagonal(r)) > 1e-8 * col_max))
             if not passive:
                 break
-        residual = b - g @ x
+        x = np.zeros(n)
+        x[passive] = xp
+        residual = b - (qtb @ qt if factored else g @ x)
     raise InfeasibleError(
         f"iteration cap hit before reaching tau={tau:g}: best relative "
         f"residual {best / b_norm:.3e}",

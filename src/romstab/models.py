@@ -19,11 +19,13 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
-from .errors import ConvergenceError, FormatError
-from .kernels import require_positive_diagonal, require_psd, require_symmetric
+from .errors import FormatError
+from .kernels import (block_max_gen_eigenvalues, require_positive_diagonal, require_psd,
+                      require_symmetric)
 
 __all__ = [
     "ForceTable",
@@ -155,14 +157,9 @@ class ElementSet:
         return self.dofs.shape[0]
 
     def max_eigenvalues(self):
-        """Largest eigenvalue of each local ``inv(Me) Ke`` pencil, ``(E,)``."""
-        s = 1.0 / np.sqrt(self.mass)
-        # as kernels.max_gen_eigenvalue: s_i s_j commutes, so blocks stay symmetric
-        scaled = self.stiffness * (s[:, :, None] * s[:, None, :])
-        try:
-            return np.linalg.eigvalsh(scaled)[:, -1]
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"symmetric eigensolve did not converge: {exc}") from exc
+        """Largest eigenvalue of each local ``inv(Me) Ke`` pencil, ``(E,)``; one
+        beyond the double range raises :class:`NumericalRangeError`."""
+        return block_max_gen_eigenvalues(self.stiffness, self.mass)
 
 
 def assemble(elements, m, weights=None):
@@ -416,19 +413,81 @@ def _as_int(value, what):
     return value
 
 
-def _as_list(value, what, convert=None, size=None):
-    """A JSON list (of ``size`` entries if given), each through ``convert`` if given."""
-    if not isinstance(value, (list, tuple)):
-        raise FormatError(f"{what} must be a list, got {value!r}")
-    if size is not None and len(value) != size:
-        raise FormatError(f"{what} has {len(value)} entries, expected {size}")
-    return value if convert is None else [convert(v, f"{what} entry") for v in value]
-
-
 def _as_number(value, what):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{what} must be a number, got {value!r}")
     return float(value)
+
+
+def _plain(values, convert):
+    """Whether every entry's type is a JSON one that ``convert`` takes as it is."""
+    return set(map(type, values)) <= ({int} if convert is _as_int else {int, float})
+
+
+def _as_list(value, what, convert=None, size=None):
+    """A JSON list (of ``size`` entries if given), each through ``convert`` if given
+    (plain entries pass unconverted, in one type pass; others name the first bad one)."""
+    if not isinstance(value, (list, tuple)):
+        raise FormatError(f"{what} must be a list, got {value!r}")
+    if size is not None and len(value) != size:
+        raise FormatError(f"{what} has {len(value)} entries, expected {size}")
+    if convert is None or _plain(value, convert):
+        return value
+    return [convert(v, f"{what} entry") for v in value]
+
+
+def _check_coo(entries, m):
+    """Raise the per-entry error of the first bad ``stiffness_coo`` entry."""
+    seen = set()
+    for entry in entries:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise FormatError(f"stiffness_coo entries must be [i, j, value], got {entry!r}")
+        i = _as_int(entry[0], "stiffness_coo row")
+        j = _as_int(entry[1], "stiffness_coo column")
+        _as_number(entry[2], "stiffness_coo value")
+        if not 0 <= i <= j < m:
+            raise FormatError(f"stiffness_coo index ({i}, {j}) out of range "
+                              f"(need 0 <= i <= j < {m})")
+        if (i, j) in seen:
+            raise FormatError(f"stiffness_coo has a duplicate entry for ({i}, {j})")
+        seen.add((i, j))
+
+
+def _check_elements(entries, m):
+    """Raise the per-element error of the first bad element."""
+    for pos, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise FormatError(f"element {pos} must be a JSON object")
+        require_keys(entry, _ELEMENT_KEYS, {"dofs", "Ke", "Me"}, f"element {pos}")
+        if set(entry) != set(entries[0]):
+            raise FormatError(
+                f"element {pos} has keys {sorted(entry)} but element 0 {sorted(entries[0])}; "
+                f"give length and wave_speed on all elements or on none"
+            )
+        shared = len(entries[0]["dofs"]) if pos else None  # all have element 0's count
+        dofs = _as_list(entry["dofs"], f"element {pos} dofs", _as_int, shared)
+        if any(not 0 <= d < m for d in dofs):
+            raise FormatError(f"element {pos} has DoFs {dofs} outside a model of order {m}")
+        for key, size in (("Ke", len(dofs) ** 2), ("Me", len(dofs))):
+            _as_list(entry[key], f"element {pos} {key}", _as_number, size)
+        for key in ("length", "wave_speed"):
+            if key in entry:
+                _as_number(entry[key], f"element {pos} {key}")
+
+
+def _plain_elements(columns, m):
+    """Whether per-key element columns pass every per-element check."""
+    dofs = columns.get("dofs", [None])
+    n = len(dofs[0]) if type(dofs[0]) is list else -1
+    shapes = (("dofs", n, _as_int), ("Ke", n * n, _as_number), ("Me", n, _as_number))
+    return (columns.keys() <= _ELEMENT_KEYS and {"dofs", "Ke", "Me"} <= columns.keys()
+            and all(set(map(type, columns[key])) == {list} and set(map(len, columns[key]))
+                    == {size} and _plain(chain.from_iterable(columns[key]), convert)
+                    for key, size, convert in shapes)
+            and min(chain.from_iterable(dofs), default=0) >= 0
+            and max(chain.from_iterable(dofs), default=0) < m
+            and all(_plain(columns[key], _as_number) for key in ("length", "wave_speed")
+                    if key in columns))
 
 
 def model_to_dict(model):
@@ -466,48 +525,27 @@ def model_from_dict(doc):
     m = _as_int(doc["m"], "m")
     if m < 1:
         raise FormatError(f"m must be at least 1, got {m}")
-    mass = np.array(_as_list(doc["mass"], "mass", _as_number, size=m))
+    mass = np.array(_as_list(doc["mass"], "mass", _as_number, size=m), dtype=float)
 
     stiffness = np.zeros((m, m))
-    seen = set()
-    for entry in _as_list(doc["stiffness_coo"], "stiffness_coo"):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise FormatError(f"stiffness_coo entries must be [i, j, value], got {entry!r}")
-        i = _as_int(entry[0], "stiffness_coo row")
-        j = _as_int(entry[1], "stiffness_coo column")
-        val = _as_number(entry[2], "stiffness_coo value")
-        if not 0 <= i <= j < m:
-            raise FormatError(
-                f"stiffness_coo index ({i}, {j}) out of range (need 0 <= i <= j < {m})"
-            )
-        if (i, j) in seen:
-            raise FormatError(f"stiffness_coo has a duplicate entry for ({i}, {j})")
-        seen.add((i, j))
-        stiffness[i, j] = val
-        stiffness[j, i] = val
+    coo = _as_list(doc["stiffness_coo"], "stiffness_coo")
+    if coo:
+        plain = set(map(type, coo)) == {list} and set(map(len, coo)) == {3}
+        i, j, val = zip(*coo) if plain else ((),) * 3
+        if not (plain and _plain(i + j, _as_int) and _plain(val, _as_number) and min(i) >= 0
+                and max(j) < m and all(map(int.__le__, i, j)) and len(set(zip(i, j))) == len(i)):
+            _check_coo(coo, m)
+            i, j, val = zip(*coo)
+        i, j = np.array(i, dtype=int), np.array(j, dtype=int)
+        stiffness[i, j] = stiffness[j, i] = np.array(val, dtype=float)
 
     entries = _as_list(doc.get("elements", []), "elements")
-    columns = {key: [] for key in ("dofs", "Ke", "Me", "length", "wave_speed")}
-    for pos, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise FormatError(f"element {pos} must be a JSON object")
-        require_keys(entry, _ELEMENT_KEYS, {"dofs", "Ke", "Me"}, f"element {pos}")
-        if set(entry) != set(entries[0]):
-            raise FormatError(
-                f"element {pos} has keys {sorted(entry)} but element 0 {sorted(entries[0])}; "
-                f"give length and wave_speed on all elements or on none"
-            )
-        shared = len(columns["dofs"][0]) if pos else None  # all have element 0's count
-        dofs = _as_list(entry["dofs"], f"element {pos} dofs", _as_int, shared)
-        if any(not 0 <= d < m for d in dofs):
-            raise FormatError(f"element {pos} has DoFs {dofs} outside a model of order {m}")
-        n = len(dofs)
-        columns["dofs"].append(dofs)
-        for key, size in (("Ke", n * n), ("Me", n)):
-            columns[key].append(_as_list(entry[key], f"element {pos} {key}", _as_number, size))
-        for key in ("length", "wave_speed"):
-            if key in entry:
-                columns[key].append(_as_number(entry[key], f"element {pos} {key}"))
+    uniform = (entries and set(map(type, entries)) == {dict}
+               and len(set(map(frozenset, entries))) == 1)
+    columns = {key: [entry[key] for entry in entries] for key in entries[0]} if uniform else {}
+    if entries and not (uniform and _plain_elements(columns, m)):
+        _check_elements(entries, m)
+        columns = {key: [entry[key] for entry in entries] for key in entries[0]}
 
     force = None
     if "external_force" in doc:
@@ -528,10 +566,10 @@ def model_from_dict(doc):
         if entries:
             shape = (len(entries), len(columns["dofs"][0]))
             elements = ElementSet(
-                np.array(columns["dofs"], dtype=int),
-                np.array(columns["Ke"]).reshape(shape + shape[1:]),
-                np.array(columns["Me"]),
-                *(np.array(columns[key]) if columns[key] else None
+                np.array(columns["dofs"], dtype=int).reshape(shape),
+                np.array(columns["Ke"], dtype=float).reshape(shape + shape[1:]),
+                np.array(columns["Me"], dtype=float).reshape(shape),
+                *(np.array(columns[key], dtype=float) if key in columns else None
                   for key in ("length", "wave_speed")),
             )
         return FullOrderModel(

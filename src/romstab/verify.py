@@ -39,6 +39,7 @@ from .stability import (
     check_interlacing,
     critical_dt_at_frequency,
     critical_dt_modal,
+    critical_dt_report,
     element_dt_bound,
     verify_rom_dt_dominance,
 )
@@ -339,6 +340,39 @@ def _prop_element_bound_sound(rng, trials):
     return failures, worst, "max (mu_exact / mu_bound - 1), must be <= 1e-12"
 
 
+def _prop_exact_step_boundary(rng, trials):
+    """Around an exact per-eigenvalue step the dense one-step radius crosses 1: on
+    projected collocation, DEIM and GNAT (``a1 = 0``, so the reduced damping stays
+    Rayleigh) of random chains.  Draws without a finite exact step are skipped, at
+    most 20 per trial; a trial still unchecked after them counts as a failure."""
+    worst, failures, checked, draws = -np.inf, 0, 0, 0
+    while checked < trials and draws < 20 * trials:
+        draws += 1
+        m, k, kind = int(rng.integers(5, 20)), int(rng.integers(1, 4)), int(rng.integers(0, 3))
+        a1 = float(rng.uniform(0.0, 1.0)) if kind == 0 else 0.0
+        model = _random_chain(rng, m, grounded=True, a1=a1, a2=float(rng.uniform(0.0, 0.1)))
+        basis = modal_basis(model, list(range(k)))
+        if kind == 0:
+            rows = sorted(rng.choice(m, size=int(rng.integers(k, m + 1)), replace=False).tolist())
+            rom = collocate_projected(model, basis, SampleSet.from_model(model, rows))
+        else:
+            op = model.operator
+            forces = op.rows_times(op.stiffness, rng.standard_normal((m, 3 * k)))
+            u = np.linalg.svd(forces, full_matrices=False)[0][:, :k + 1]
+            rows = deim_points(u)  # DEIM takes k of them, GNAT all k + 1
+            rom = (deim_reduce(model, basis, u[:, :k], rows[:k]) if kind == 1
+                   else gnat_reduce(model, basis, u[:, :k], rows))
+        report = critical_dt_report(rom)
+        if report.method == "amplification-exact" and 0.0 < report.dt_crit < np.inf:
+            checked += 1
+            below, above = (spectral_radius(rom.step_operator(f * report.dt_crit)[0]).radius
+                            for f in (0.999, 1.001))
+            worst = max(worst, below - 1.0)
+            failures += below > 1.0 + 1e-12 or above <= 1.0
+    failures += trials - checked
+    return failures, worst, "max rho(0.999 dt_crit) - 1 (tol 1e-12); rho > 1 at 1.001 dt_crit"
+
+
 def _saturated_deviation(model, basis, sampled, steps=20, dt_scale=0.5):
     """Relative end-state gap between a saturated sampled model and Galerkin."""
     rom = galerkin_reduce(model, basis)
@@ -437,12 +471,17 @@ _SYMMETRY_BREAKERS = [
     ("interpolation-asymmetry", _prop_deim_asymmetry),
 ]
 
-PROPERTY_NAMES = tuple(name for name, _ in _PROPERTIES + _SYMMETRY_BREAKERS)
+# properties added later come last, so that every earlier one keeps its seed
+_ADDED = [
+    ("exact-step-boundary", _prop_exact_step_boundary),
+]
+
+PROPERTY_NAMES = tuple(name for name, _ in _PROPERTIES + _SYMMETRY_BREAKERS + _ADDED)
 
 
 def run_property(name, seed=0, trials=50):
     """Run a single property by name and return its :class:`PropertyResult`."""
-    table = dict(_PROPERTIES + _SYMMETRY_BREAKERS)
+    table = dict(_PROPERTIES + _SYMMETRY_BREAKERS + _ADDED)
     if name not in table:
         raise ValueError(f"unknown property {name!r}; choose from {PROPERTY_NAMES}")
     index = PROPERTY_NAMES.index(name)
@@ -461,7 +500,6 @@ def run_suite(seed=0, trials=50, break_symmetry=False):
     """
     if trials < 1:
         raise ValueError("trials must be a positive integer")
-    names = [name for name, _ in _PROPERTIES]
-    if break_symmetry:
-        names += [name for name, _ in _SYMMETRY_BREAKERS]
+    witnesses = dict(_SYMMETRY_BREAKERS)
+    names = [name for name in PROPERTY_NAMES if break_symmetry or name not in witnesses]
     return [run_property(name, seed=seed, trials=trials) for name in names]

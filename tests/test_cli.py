@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -719,6 +720,17 @@ class TestNumericalFailures:
         out, err = _out(capsys)
         assert rc == 6 and out == ""
         assert "overflow double precision" in err
+
+    def test_overflowing_element_bound_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        write_model(build_string_model(6, 1.0, 1e306, 1.0, 99.0), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(["timestep", str(path), "--element-bound"])
+        out, err = _out(capsys)
+        assert rc == 6 and out == ""
+        assert "overflow double precision" in err
+        assert caught == []
 
     def test_largest_finite_spectrum_still_builds(self, tmp_path, capsys):
         rc = run(["build", "string", "--m", "6", "--M", "1", "--K", "1e305",

@@ -3,6 +3,7 @@ interpolation, and weighted-element training."""
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -392,6 +393,23 @@ class TestEcswTraining:
                 expected = _loop_training_columns(model, v, q)
                 assert np.array_equal(g, expected)
                 assert np.array_equal(b, expected.sum(axis=1))
+
+    def test_training_system_holds_one_copy_of_g(self):
+        """G is written in element blocks: the peak at m = 300, k = 10 and 101
+        snapshots stays near G's own 2.3 MiB (it held G twice, 5.1 MiB, when the
+        whole projection was transposed at once)."""
+        model = _string(300, a2=1e-4)
+        rng = np.random.default_rng(77)
+        basis = _mass_basis(rng, model, 10)
+        snaps = rng.standard_normal((300, 101))
+        tracemalloc.start()
+        try:
+            g, b = ecsw_training_system(model, basis, snaps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.shape == (1010, 299)
+        assert peak <= g.nbytes + 0.75 * 2**20
 
     def test_single_element_trains_to_unit_weight(self):
         ke = 3.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])

@@ -24,7 +24,19 @@ from romstab import (
     symmetrize,
     thin_svd,
 )
-from romstab.kernels import max_gen_eigenvalue, require_positive_diagonal, require_symmetric
+from romstab.errors import ConvergenceError
+from romstab.hyper import ecsw_training_system
+from romstab.integrator import integrate
+from romstab.kernels import (
+    max_gen_eigenvalue,
+    require_positive_diagonal,
+    require_psd,
+    require_symmetric,
+)
+from romstab.models import build_string_model
+from romstab.reduction import modal_basis, snapshots_from_trajectory
+from romstab.stability import critical_dt_report
+from romstab.verify import _random_chain
 
 
 def _charpoly_roots(a):
@@ -222,6 +234,108 @@ def _best_support_residual(columns, target):
     return best
 
 
+def _reference_nnls(columns, target, tau):
+    """The active-set solver that re-solved ``lstsq`` over the whole support on
+    every pass: the oracle for :func:`sparse_nnls`, whose weights must match it
+    bit for bit whenever both take the same decisions."""
+    g = np.asarray(columns, dtype=float)
+    b = np.asarray(target, dtype=float)
+    if g.ndim != 2 or b.ndim != 1 or g.shape[0] != b.shape[0]:
+        raise ValueError(f"shape mismatch: G {g.shape}, b {b.shape}")
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(b))):
+        raise ValueError("inputs contain non-finite entries")
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must lie strictly between 0 and 1, got {tau}")
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        raise ValueError("target vector is zero; tolerance tau*||b|| is degenerate")
+
+    n = g.shape[1]
+    x = np.zeros(n)
+    passive: list[int] = []
+    residual = b.copy()
+    best = b_norm
+    # Each outer pass adds one support index; n passes reach the
+    # unconstrained optimum, the margin covers drop/re-add cycles.
+    for _ in range(3 * n + 30):
+        res_norm = float(np.linalg.norm(residual))
+        best = min(best, res_norm)
+        if res_norm <= tau * b_norm:
+            return x
+        grad = g.T @ residual
+        grad[passive] = -np.inf
+        j = int(np.argmax(grad))
+        if grad[j] <= 0.0 or len(passive) == n:
+            # KKT point: no admissible column can reduce the residual.
+            raise InfeasibleError(
+                f"cannot reach tau={tau:g}: best relative residual "
+                f"{best / b_norm:.3e}",
+                best_residual=best,
+            )
+        passive.append(j)
+        # Restore least-squares optimality on the support, dropping
+        # variables that a full step would drive negative.
+        for _ in range(3 * n + 30):
+            sub = g[:, passive]
+            z, *_ = np.linalg.lstsq(sub, b, rcond=None)
+            if np.all(z > 0.0):
+                x[:] = 0.0
+                x[passive] = z
+                break
+            xp = x[passive]
+            shrink = z <= 0.0
+            steps = xp[shrink] / (xp[shrink] - z[shrink])
+            alpha = float(np.min(steps))
+            xp = xp + alpha * (z - xp)
+            keep = xp > 1e-14 * max(1.0, float(np.max(np.abs(xp))))
+            x[:] = 0.0
+            for idx, val, k in zip(passive, xp, keep):
+                if k:
+                    x[idx] = val
+            passive = [idx for idx, k in zip(passive, keep) if k]
+            if not passive:
+                break
+        residual = b - g @ x
+    raise InfeasibleError(
+        f"iteration cap hit before reaching tau={tau:g}: best relative "
+        f"residual {best / b_norm:.3e}",
+        best_residual=best,
+    )
+
+
+def _ecsw_system(model, k, steps, rng):
+    """ECSW training system of the ``k`` lowest modes on a white-noise-start run."""
+    dt = 0.9 * critical_dt_report(model).dt_crit
+    run = integrate(model, rng.standard_normal(model.m), np.zeros(model.m), steps * dt, dt)
+    return ecsw_training_system(model, modal_basis(model, range(k)),
+                                snapshots_from_trajectory(run))
+
+
+def _nnls_outcome(solver, g, b, tau):
+    try:
+        return solver(g, b, tau)
+    except InfeasibleError as exc:
+        return exc
+
+
+def _random_nnls_system(rng):
+    """A small system, half of them exact fits; ``plant`` 1 makes the last
+    column a duplicate of the first, 2 a combination of the first two."""
+    r, n = int(rng.integers(3, 25)), int(rng.integers(3, 30))
+    g = rng.standard_normal((r, n))
+    if rng.random() < 0.5:
+        g = np.abs(g)
+    b = g @ np.where(rng.random(n) < 0.3, rng.uniform(0.1, 2.0, n), 0.0)
+    if rng.random() < 0.5:
+        b = b + 10.0 ** rng.uniform(-4.0, 0.0) * rng.standard_normal(r)
+    plant = int(rng.integers(0, 3))
+    if plant == 1:
+        g[:, -1] = g[:, 0]
+    elif plant == 2:
+        g[:, -1] = g[:, :2] @ rng.uniform(-1.0, 1.0, 2)
+    return g, b, float(10.0 ** rng.uniform(-8.0, -0.5)), plant
+
+
 class TestSparseNnls:
     def test_recovers_sparse_nonnegative_solution(self):
         rng = np.random.default_rng(15)
@@ -256,6 +370,118 @@ class TestSparseNnls:
             sparse_nnls(g, b, tau=1e-6)
         assert 0.0 < err.value.best_residual <= np.linalg.norm(b) + 1e-12
 
+    @pytest.mark.parametrize("k", [2, 5, 10, 20])
+    def test_ecsw_weights_match_the_oracle_bit_for_bit(self, k):
+        rng = np.random.default_rng(300 + k)
+        models = [build_string_model(4 * k + 20, 1.0, 10.0, 1.0, 99.0, a2=1e-4),
+                  _random_chain(rng, 3 * k + 10, grounded=True, a2=1e-3)]
+        for model in models:
+            g, b = _ecsw_system(model, k, 60, rng)
+            for tau in (0.1, 0.01, 1e-3):
+                expected = _nnls_outcome(_reference_nnls, g, b, tau)
+                got = _nnls_outcome(sparse_nnls, g, b, tau)
+                if isinstance(expected, InfeasibleError):
+                    assert isinstance(got, InfeasibleError)
+                else:
+                    assert np.array_equal(got, expected)
+
+    def test_random_systems_agree_with_the_oracle_up_to_near_ties(self):
+        """(a) Wherever the oracle returns, the new weights meet tau.  (b) Both
+        give the same weights to 1e-12 (duplicate columns merged) and, but for
+        near-ties, the same support: an exact fit that takes in or leaves out a
+        weight of ~1e-15, or a pick between duplicate columns."""
+        rng = np.random.default_rng(2024)
+        returned = differ = 0
+        while returned < 1000:
+            g, b, tau, plant = _random_nnls_system(rng)
+            if not b.any():
+                continue
+            expected = _nnls_outcome(_reference_nnls, g, b, tau)
+            got = _nnls_outcome(sparse_nnls, g, b, tau)
+            if isinstance(expected, InfeasibleError):
+                if not isinstance(got, InfeasibleError):  # a near-tie resolved the other way
+                    assert np.linalg.norm(g @ got - b) <= tau * np.linalg.norm(b)
+                continue
+            returned += 1
+            assert not isinstance(got, InfeasibleError)
+            assert np.all(got >= 0.0)
+            assert np.linalg.norm(g @ got - b) <= tau * np.linalg.norm(b)
+            if np.array_equal(got > 0, expected > 0) and np.allclose(got, expected, rtol=1e-12,
+                                                                     atol=0.0):
+                continue
+            differ += 1
+            # a near-tie: an exact fit, or a pick between duplicate columns
+            assert plant == 1 or np.linalg.norm(g @ expected - b) <= 1e-12 * np.linalg.norm(b)
+            merged = [x.copy() for x in (got, expected)]
+            if plant == 1:
+                for x in merged:
+                    x[0] += x[-1]
+                    x[-1] = 0.0
+            assert np.abs(merged[0] - merged[1]).max() <= 1e-12 * expected.max()
+        print(f"{differ} of {returned} returned weight vectors differ")
+        assert differ / returned < 0.1
+
+    def test_dependent_entering_column_keeps_the_oracle_outcome(self, monkeypatch):
+        """A column in the span of the support enters only at the optimum, on a
+        round-off gradient; each fit is then ``lstsq``'s minimum-norm one, as in
+        the oracle, which raises here as the solver does."""
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        entered = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            g = np.abs(rng.standard_normal((8, 5)))
+            g[:, 4] = g[:, 0] if seed % 2 else g[:, :2] @ np.array([0.5, 0.5])
+            b = g[:, :3] @ rng.uniform(0.5, 1.5, 3) + 1e-3 * rng.standard_normal(8)
+            expected = _nnls_outcome(_reference_nnls, g, b, 1e-9)
+            calls.clear()
+            got = _nnls_outcome(sparse_nnls, g, b, 1e-9)
+            assert isinstance(expected, InfeasibleError) and isinstance(got, InfeasibleError)
+            assert got.best_residual == pytest.approx(expected.best_residual, rel=1e-10)
+            entered += bool(calls)
+        assert entered >= 10
+
+    def test_duplicate_columns_carry_the_oracle_weight(self):
+        """Duplicate columns tie in the selection, which round-off breaks either
+        way; the pair's total weight and every other weight match the oracle."""
+        rng = np.random.default_rng(41)
+        g = np.abs(rng.standard_normal((12, 6)))
+        g[:, 5] = g[:, 1]
+        b = g[:, :4] @ np.array([1.0, 0.5, 2.0, 0.7])
+        xi, expected = sparse_nnls(g, b, 1e-6), _reference_nnls(g, b, 1e-6)
+        assert xi[1] + xi[5] == pytest.approx(expected[1] + expected[5], rel=1e-12)
+        assert xi[1] * xi[5] == 0.0 and xi[1] + xi[5] == pytest.approx(0.5, rel=1e-9)
+        assert np.allclose(xi[[0, 2, 3, 4]], expected[[0, 2, 3, 4]], rtol=1e-12, atol=0.0)
+
+    def test_one_lstsq_per_well_posed_call(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        g, b = _ecsw_system(build_string_model(120, 1.0, 10.0, 1.0, 99.0), 10, 100, rng)
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        xi = sparse_nnls(g, b, 0.01)
+        assert len(calls) == 1
+        assert np.count_nonzero(xi) > 10
+
+    def test_factor_weights_return_when_lstsq_flips_a_round_off_weight(self, monkeypatch):
+        """At an exact fit a column can keep a weight of ~1e-16 that is positive in
+        the factor's solve and negative in ``lstsq``'s.  The factor's weights,
+        which admitted the support, are returned: going on from a residual of
+        ~1e-16 would find no ascent and raise where the oracle returns."""
+        g, b, tau, _ = _random_nnls_system(np.random.default_rng(187))
+        fits = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **k: fits.append(lstsq(*a, **k)[0]) or lstsq(*a, **k))
+        xi = sparse_nnls(g, b, tau)
+        monkeypatch.undo()
+        assert len(fits) == 1 and np.min(fits[0]) < 0.0 < np.min(xi[xi > 0.0])
+        assert np.linalg.norm(g @ xi - b) <= tau * np.linalg.norm(b)
+        expected = _reference_nnls(g, b, tau)
+        assert np.count_nonzero(xi) == np.count_nonzero(expected) + 1
+        assert np.abs(xi - expected).max() <= 1e-12 * expected.max()
+
     def test_argument_validation(self):
         g = np.eye(3)
         with pytest.raises(ValueError):
@@ -264,6 +490,21 @@ class TestSparseNnls:
             sparse_nnls(g, np.ones(3), tau=0.0)
         with pytest.raises(ValueError):
             sparse_nnls(g, np.ones(3), tau=1.0)
+
+
+class TestRequirePsd:
+    def test_nan_eigenvalue_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([[np.nan, 1.0]]))
+        with pytest.raises(ValueError, match=r"element 0 .*min eigenvalue nan"):
+            require_psd(np.eye(2)[None], "element {}", 1e-10)
+
+    def test_failed_eigensolve_is_a_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceError):
+            require_psd(np.eye(2), "stiffness", 1e-10)
 
 
 class TestSpectralRadius:

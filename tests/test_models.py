@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from romstab import (
     ForceTable,
     FormatError,
     FullOrderModel,
+    NumericalRangeError,
     assemble,
     build_string_model,
     read_model,
@@ -100,6 +102,28 @@ class TestElementSet:
             expected = [max_gen_eigenvalue(es.stiffness[e], es.mass[e])
                         for e in range(len(es))]
             assert np.array_equal(es.max_eigenvalues(), expected)
+
+    def test_power_of_four_scaling_keeps_every_bit(self):
+        """The scaled form equals the unscaled ``Ke * (s s)`` of before, bit for
+        bit, over blocks from 1e-60 to 1e60."""
+        rng = np.random.default_rng(88)
+        for _ in range(100):
+            e, n = int(rng.integers(1, 20)), int(rng.integers(1, 5))
+            a = rng.standard_normal((e, n, n + 1)) * 10.0 ** rng.uniform(-30, 30, (e, 1, 1))
+            ke = a @ a.transpose(0, 2, 1)
+            ke = 0.5 * (ke + ke.transpose(0, 2, 1))
+            me = rng.uniform(0.1, 10.0, (e, n)) * 10.0 ** rng.uniform(-5, 5, (e, 1))
+            es = ElementSet(np.tile(np.arange(n), (e, 1)), ke, me)
+            s = 1.0 / np.sqrt(es.mass)
+            unscaled = np.linalg.eigvalsh(es.stiffness * (s[:, :, None] * s[:, None, :]))[:, -1]
+            assert np.array_equal(es.max_eigenvalues(), unscaled)
+
+    def test_eigenvalue_beyond_the_double_range_is_a_range_error(self):
+        es = build_string_model(6, 1.0, 1e306, 1.0, 99.0).elements  # boundary: ~2e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalRangeError, match="overflow double precision"):
+                es.max_eigenvalues()
 
     def test_rejects_indefinite_stiffness(self):
         with pytest.raises(ValueError):
@@ -464,3 +488,121 @@ class TestModelFile:
         path.write_text("[not json")
         with pytest.raises(FormatError):
             read_model(path)
+
+
+def _session_doc():
+    """Plain-JSON form of a 5-node string (COO entry 4 is (2, 2)) with a load table."""
+    model = build_string_model(5, 1.0, 10.0, 1.0, 99.0, a1=0.1, a2=1e-3)
+    model = dataclasses.replace(model, external_force=ForceTable([0.0, 1.0], np.ones((2, 5))))
+    return json.loads(json.dumps(model_to_dict(model)))
+
+
+def _set(*path):
+    """A mutation that sets ``doc[path[0]]...[path[-2]] = path[-1]``."""
+    def mutate(doc):
+        for key in path[:-2]:
+            doc = doc[key]
+        doc[path[-2]] = path[-1]
+    return mutate
+
+
+_MALFORMED = [  # (mutation, the reader's message), in the order of its checks
+    (_set("m", "5"), "m must be an integer, got '5'"),
+    (_set("m", 0), "m must be at least 1, got 0"),
+    (_set("mass", 3.0), "mass must be a list, got 3.0"),
+    (lambda d: d["mass"].pop(), "mass has 4 entries, expected 5"),
+    (_set("mass", 3, True), "mass entry must be a number, got True"),
+    (_set("mass", 0, "1"), "mass entry must be a number, got '1'"),
+    (_set("stiffness_coo", {}), "stiffness_coo must be a list, got {}"),
+    (lambda d: d["stiffness_coo"][4].pop(),
+     "stiffness_coo entries must be [i, j, value], got [2, 2]"),
+    (_set("stiffness_coo", 0, 3), "stiffness_coo entries must be [i, j, value], got 3"),
+    (_set("stiffness_coo", 4, 0, 1.5), "stiffness_coo row must be an integer, got 1.5"),
+    (_set("stiffness_coo", 4, 1, True), "stiffness_coo column must be an integer, got True"),
+    (_set("stiffness_coo", -1, 2, "1"), "stiffness_coo value must be a number, got '1'"),
+    (_set("stiffness_coo", 4, 0, -1),
+     "stiffness_coo index (-1, 2) out of range (need 0 <= i <= j < 5)"),
+    (_set("stiffness_coo", 4, 0, 10**30),
+     f"stiffness_coo index ({10**30}, 2) out of range (need 0 <= i <= j < 5)"),
+    (lambda d: d["stiffness_coo"].append([2, 2, 1.0]),
+     "stiffness_coo has a duplicate entry for (2, 2)"),
+    (lambda d: (d["stiffness_coo"].insert(1, [0, 0, 1.0]), d["stiffness_coo"][-1].__setitem__(1, 9)),
+     "stiffness_coo has a duplicate entry for (0, 0)"),
+    (lambda d: (d["stiffness_coo"][0].__setitem__(1, 99), d["stiffness_coo"].append([1, 1, 1.0])),
+     "stiffness_coo index (0, 99) out of range (need 0 <= i <= j < 5)"),
+    (lambda d: (d["stiffness_coo"][1].__setitem__(0, -1), d["stiffness_coo"][-1].__setitem__(2, "x")),
+     "stiffness_coo index (-1, 1) out of range (need 0 <= i <= j < 5)"),
+    (_set("elements", {}), "elements must be a list, got {}"),
+    (_set("elements", 2, [1]), "element 2 must be a JSON object"),
+    (_set("elements", 2, "zz", 1), "element 2 has unknown keys: ['zz']"),
+    (lambda d: d["elements"][2].pop("Ke"), "element 2 is missing keys: ['Ke']"),
+    (lambda d: d["elements"][2].pop("length"),
+     "element 2 has keys ['Ke', 'Me', 'dofs', 'wave_speed'] but element 0 ['Ke', 'Me', 'dofs', "
+     "'length', 'wave_speed']; give length and wave_speed on all elements or on none"),
+    (_set("elements", 2, "dofs", 1), "element 2 dofs must be a list, got 1"),
+    (lambda d: d["elements"][2]["dofs"].pop(), "element 2 dofs has 1 entries, expected 2"),
+    (_set("elements", 2, "dofs", 1, 1.5), "element 2 dofs entry must be an integer, got 1.5"),
+    (_set("elements", 2, "dofs", 1, 5), "element 2 has DoFs [2, 5] outside a model of order 5"),
+    (lambda d: d["elements"][2]["Ke"].append(1), "element 2 Ke has 5 entries, expected 4"),
+    (_set("elements", 2, "Ke", 1, True), "element 2 Ke entry must be a number, got True"),
+    (_set("elements", 2, "Me", 1, "1"), "element 2 Me entry must be a number, got '1'"),
+    (_set("elements", 2, "length", None), "element 2 length must be a number, got None"),
+    (_set("elements", 2, "wave_speed", -1), "element 2: element wave_speed must be positive"),
+    (_set("elements", 2, "dofs", [1, 1]), "element 2: element DoFs must be distinct"),
+    (lambda d: (d["elements"][1]["dofs"].__setitem__(0, 7), d["elements"][3]["Me"].__setitem__(0, "x")),
+     "element 1 has DoFs [7, 2] outside a model of order 5"),
+    (lambda d: (d["elements"][3]["dofs"].__setitem__(0, 7), d["elements"][1]["Me"].__setitem__(0, "x")),
+     "element 1 Me entry must be a number, got 'x'"),
+    (lambda d: [e.update(dofs=[], Ke=[], Me=[]) for e in d["elements"]],
+     "elements need (E, n) integer DoFs, (E, n, n) stiffness, (E, n) mass, E, n >= 1; "
+     "got int64 (4, 0), (4, 0, 0), (4, 0)"),
+    (_set("external_force", []), "external_force must be a JSON object"),
+    (_set("external_force", "times", 1, "x"), "force times entry must be a number, got 'x'"),
+    (_set("external_force", "values", 1, 2, None), "force values row entry must be a number, got None"),
+    (_set("a1", "0"), "a1 must be a number, got '0'"),
+]
+
+
+class TestModelReader:
+    """One bulk type pass per list; a failing pass hands over to the per-entry
+    checks, so each message names the first offending entry as before."""
+
+    @pytest.mark.parametrize("mutate,message", _MALFORMED)
+    def test_malformed_document_message(self, mutate, message):
+        doc = _session_doc()
+        mutate(doc)
+        with pytest.raises(FormatError) as err:
+            model_from_dict(doc)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("model", [
+        build_string_model(300, 1.0, 10.0, 1.0, 99.0, a2=1e-4),
+        _random_chain(np.random.default_rng(5), 40, grounded=False, a1=0.3, a2=0.01),
+    ])
+    def test_valid_file_reads_bit_identically(self, model, tmp_path):
+        path = tmp_path / "model.json"
+        write_model(model, path)
+        back = read_model(path)
+        assert np.array_equal(back.mass, model.mass)
+        assert np.array_equal(back.stiffness, model.stiffness)
+        assert (back.a1, back.a2) == (model.a1, model.a2)
+        for name in ("dofs", "stiffness", "mass", "length", "wave_speed"):
+            ours, theirs = getattr(model.elements, name), getattr(back.elements, name)
+            assert (ours is None and theirs is None) or np.array_equal(ours, theirs)
+            assert theirs is None or theirs.dtype == ours.dtype
+
+    def test_integers_and_number_subclasses_read_as_floats(self):
+        doc = _session_doc()
+        expected = model_from_dict(doc)
+        doc["mass"] = [np.float64(v) for v in doc["mass"]]  # takes the per-entry path
+        doc["stiffness_coo"] = [tuple(e) for e in doc["stiffness_coo"]]
+        for e in doc["elements"]:
+            e["Me"] = [int(v) if v == int(v) else v for v in e["Me"]]
+            e["Ke"] = [int(v) for v in e["Ke"]]
+        doc["external_force"]["times"] = [0, 1]
+        back = model_from_dict(doc)
+        for name in ("mass", "stiffness"):
+            assert getattr(back, name).dtype == float
+            assert np.array_equal(getattr(back, name), getattr(expected, name))
+        assert np.array_equal(back.elements.stiffness, expected.elements.stiffness)
+        assert np.array_equal(back.external_force.times, expected.external_force.times)

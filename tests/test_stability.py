@@ -41,13 +41,13 @@ from romstab import (
 from romstab.hyper import SampledModel, sampled_step_matrix
 from romstab.kernels import max_gen_eigenvalue
 from romstab.reduction import ReducedModel
-from romstab import stability
+from romstab import stability, verify
 from romstab.errors import RankDeficiencyError
 from romstab.integrator import integrate
 from romstab.reduction import snapshots_from_trajectory
 from romstab.stability import _bisect_critical_dt, _exact_steps, _step_spectrum
 from romstab.verify import (_random_chain, _random_mass_basis, _random_spd_pencil,
-                            frozen_deim_instance)
+                            frozen_deim_instance, run_property)
 
 
 def _string(m=5, a1=0.0, a2=0.0, bf=99.0, K=10.0):
@@ -664,6 +664,22 @@ class TestExactSteps:
             )
             assert _dense_radius(rom)(0.999 * report.dt_crit) <= 1.0
             checked += 1
+
+    def test_verify_property_brackets_the_exact_step(self):
+        """``verify``'s ``exact-step-boundary``: radius at most 1 + 1e-12 at
+        0.999 dt_crit and above 1 at 1.001 dt_crit, on collocation, DEIM and GNAT."""
+        result = run_property("exact-step-boundary", seed=5, trials=40)
+        assert result.passed and result.trials == 40
+        assert result.worst <= 1e-12
+
+    def test_verify_property_caps_draws_without_an_exact_step(self, monkeypatch):
+        """Draws with no finite exact step are skipped at most 20 per trial; the
+        trials left unchecked then count as failures."""
+        draws = []
+        report = stability.StabilityReport(4.0, 0.0, 1.0, "amplification-bisection", "hrom")
+        monkeypatch.setattr(verify, "critical_dt_report", lambda rom: draws.append(1) or report)
+        result = run_property("exact-step-boundary", seed=5, trials=3)
+        assert len(draws) == 60 and result.failures == 3 and not result.passed
 
     def test_complex_boundary_matches_mpmath(self):
         """The closed-form right end against a 40-digit bisection of the
