@@ -14,9 +14,12 @@ through its sparse force.  A square :class:`~romstab.reduction.ReducedModel`
 ``z <- A z + b(t)`` from ``step_operator(dt)``, on ``z = [x; v_half]`` and on
 ``z = [x; sampled-row velocities]``, where ``A`` is the
 :func:`~romstab.hyper.sampled_step_matrix` that the stable step comes from.
-:func:`integrate` runs the same arithmetic on bare arrays and looks the load
-up for blocks of steps, each row bit-identical to the scalar lookup, so on
-every model its trajectories are bit-identical to a loop of public steps.
+:func:`integrate` runs the same arithmetic in blocks of steps: it looks the
+load up once per block, each row bit-identical to the scalar lookup, fills a
+preallocated block buffer with the states, and tests divergence and takes
+the records in one pass over the filled block, discarding the steps that the
+block ran past a divergence.  So on every model its records, divergence flag
+and divergence step are bit-identical to a loop of public steps.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import numpy as np
 
 from .errors import FormatError
 from .hyper import SampledModel
-from .kernels import spectral_radius
 from .reduction import MatrixStepped, ReducedModel, operator_step
 
 __all__ = [
@@ -37,8 +39,6 @@ __all__ = [
     "cd_step",
     "integrate",
     "amplification_matrix",
-    "assess_amplification_stability",
-    "AmplificationAssessment",
     "write_trajectory",
     "read_trajectory",
 ]
@@ -79,14 +79,21 @@ class Trajectory:
     divergence_step: int | None = None
 
 
-_BLOCK = 256  # steps whose loads one vectorized table lookup gives
+_BLOCK = 256  # steps per block: one load lookup, one buffer fill, one divergence pass
+_BLOCK_FLOATS = 2**15  # the steps of a block hold at most 256 KiB, or one step
 
 
-def _cd_advance(model, x, v_half, t, dt):
-    """One central-difference update through the model's force."""
+def _block_rows(width):
+    """Steps per block of ``width``-float states: 1 to ``_BLOCK``, within ``_BLOCK_FLOATS``."""
+    return max(1, min(_BLOCK, _BLOCK_FLOATS // width))
+
+
+def _cd_advance(model, x, v_half, t, dt, out):
+    """One central-difference update through the model's force, into ``out``,
+    whose halves it returns as the new ``x`` and ``v_half``."""
     accel = model.mass_inverse_apply(model.force_at(x, v_half, t))
-    v_new = v_half + dt * accel
-    return x + dt * v_new, v_new
+    v_new = np.add(v_half, dt * accel, out=out[x.size:])
+    return np.add(x, dt * v_new, out=out[:x.size]), v_new
 
 
 def cd_step(model, state, dt):
@@ -101,7 +108,7 @@ def cd_step(model, state, dt):
                           None if load is None else load.at(state.t))
         x, v_half = z[: model.dim], z[model.dim:]
     else:
-        x, v_half = _cd_advance(model, state.x, state.v_half, state.t, dt)
+        x, v_half = _cd_advance(model, state.x, state.v_half, state.t, dt, np.empty(2 * model.dim))
     return replace(state, x=x, v_half=v_half, t=state.t + dt, n=state.n + 1)
 
 
@@ -111,6 +118,12 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
     Records the initial state, every ``record_every``-th step and the
     final step.  A run is flagged divergent — and stops — when the state
     stops being finite or ``norm(x)`` exceeds ``blowup * max(1, norm(x0))``.
+
+    Steps fill a block buffer of ``[x; velocity]`` rows, at most ``_BLOCK``
+    and at most 256 KiB of them unless one row is larger, and one pass over
+    each filled block tests divergence and takes the records; steps that a
+    block ran past a divergence are discarded.  So the records, the flag and
+    the divergence step equal those of a loop of public steps.
 
     Returns a :class:`Trajectory`; divergence is reported on the
     trajectory, not raised.  More than 1e9 steps is a ``ValueError``.
@@ -140,53 +153,61 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
                          f"model dimension {model.dim}")
 
     matrix = load = None
-    square = isinstance(model, ReducedModel)  # z is [x; v_half]
     if isinstance(model, MatrixStepped):
         matrix, load = model.step_operator(dt)
-        k, sampled = model.dim, isinstance(model, SampledModel)
-        z = np.concatenate((x0, model.row_basis @ v0 if sampled else v0))
-
-    x, v_half, t = x0, v0, 0.0
+    sampled, k = isinstance(model, SampledModel), model.dim
+    z = np.concatenate((x0, model.row_basis @ v0 if sampled else v0))
+    # row 0 holds the state before the block's first step, row j the state
+    # after its j-th: [x; v_half], or [x; sampled-row velocities]
+    buffer = np.empty((min(n_steps, _block_rows(z.size)) + 1, z.size))
+    buffer[0] = z
+    rows = list(buffer)
     limit = float(blowup) * max(1.0, float(np.linalg.norm(x0)))
-    # norm(x) is sqrt(x.dot(x)) and a sum of the 2 dim squares of x and v is
-    # off by under 2 dim ulps, so a sum within ``bound`` proves the step sound;
-    # NaN, inf, overflow and states near the limit take the exact tests
+    # norm(x) is sqrt(x.dot(x)) and a sum of the 2 dim squares of x and v, in any
+    # order, is off by under 2 dim ulps, so a sum within ``bound`` proves the step
+    # sound; NaN, inf, overflow and states near the limit take the exact tests
     bound = min(limit * limit, np.finfo(float).max) * (1.0 - 8 * x0.size * 2.0**-53)
-    times, states = [t], [x0.copy()]
-    diverged, divergence_step = False, None
+    times, states = [np.zeros(1)], [x0[None]]
+    t, n, divergence_step = 0.0, 0, None
 
-    for n in range(1, n_steps + 1):
-        j = (n - 1) % _BLOCK
-        if not j:  # a block's times accumulate by t + dt, as public steps do
-            ts = np.full(min(_BLOCK, n_steps + 1 - n) + 1, float(dt))
-            ts[0] = t
+    # steps past a divergence fill the rest of their block and are discarded,
+    # so their overflows must not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n < n_steps and divergence_step is None:
+            size = min(len(rows) - 1, n_steps - n)
+            ts = np.full(size + 1, float(dt))  # times accumulate by t + dt,
+            ts[0] = t                          # as public steps do
             ts = np.add.accumulate(ts)
-            loads = [None] * _BLOCK if load is None else load.at(ts[:-1])
-            ts = ts.tolist()
-        if matrix is None:
-            x, v_half = _cd_advance(model, x, v_half, ts[j], dt)
-        else:
-            z = operator_step(matrix, z, loads[j])
-            x, v_half = z[:k], (z[:k] - x) / dt if sampled else z[k:]
-        t = ts[j + 1]
-        squares = z.dot(z) if square else x.dot(x) + v_half.dot(v_half)
-        diverged = not squares <= bound and (
-            not np.all(np.isfinite(x)) or not np.all(np.isfinite(v_half))
-            or float(np.linalg.norm(x)) > limit)
-        # each update returns fresh arrays, so a record needs no copy
-        if diverged or n % record_every == 0 or n == n_steps:
-            times.append(t)
-            states.append(x)
-        if diverged:
-            divergence_step = n
-            break
+            if matrix is None:
+                x, v_half = rows[0][:k], rows[0][k:]
+                for t_j, row in zip(ts.tolist(), rows[1:size + 1]):
+                    x, v_half = _cd_advance(model, x, v_half, t_j, dt, row)
+            elif load is None:  # operator_step's arithmetic, into the buffer
+                for src, dst in zip(rows, rows[1:size + 1]):
+                    np.dot(matrix, src, out=dst)
+            else:
+                for src, dst, b in zip(rows, rows[1:size + 1], load.at(ts[:-1])):
+                    np.dot(matrix, src, out=dst)
+                    dst += b
+            xs, block = buffer[: size + 1, :k], buffer[1:size + 1]
+            vs = np.diff(xs, axis=0) / dt if sampled else block[:, k:]
+            parts = np.concatenate((xs[1:], vs), axis=1) if sampled else block
+            squares = np.matmul(parts[:, None], parts[..., None])[:, 0, 0]  # row by row
+            for i in (~(squares <= bound)).nonzero()[0].tolist():
+                if (not np.all(np.isfinite(xs[i + 1])) or not np.all(np.isfinite(vs[i]))
+                        or float(np.linalg.norm(xs[i + 1])) > limit):
+                    size, divergence_step = i + 1, n + i + 1
+                    break
+            keep = slice(record_every - n % record_every, size + 1, record_every)
+            if (divergence_step is not None or n + size == n_steps) and (n + size) % record_every:
+                keep = [*range(size + 1)[keep], size]
+            times.append(ts[keep].copy())  # copies: a view would keep its whole
+            states.append(xs[keep].copy())  # block alive, and the buffer is reused
+            t, n = ts[size], n + size
+            buffer[0] = buffer[size]
 
-    return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        divergence_flag=diverged,
-        divergence_step=divergence_step,
-    )
+    return Trajectory(np.concatenate(times), np.concatenate(states),
+                      divergence_step is not None, divergence_step)
 
 
 def amplification_matrix(mass, damping, stiffness, dt):
@@ -226,24 +247,6 @@ def amplification_matrix(mass, damping, stiffness, dt):
             [2.0 * eye - dt * dt * minv_k - dt * minv_c, dt * minv_c - eye],
             [eye, np.zeros((d, d))],
         ]
-    )
-
-
-@dataclass(frozen=True)
-class AmplificationAssessment:
-    stable: bool
-    radius: float
-    repeated_unit_root: bool
-
-
-def assess_amplification_stability(a):
-    """Classify a transfer matrix: stable iff the spectral radius is at
-    most ``1 + 1e-10`` and no root on the unit circle is repeated."""
-    sr = spectral_radius(a)
-    repeated_unit = sr.repeated_dominant and abs(sr.radius - 1.0) <= 1e-8
-    stable = sr.radius <= 1.0 + 1e-10 and not repeated_unit
-    return AmplificationAssessment(
-        stable=stable, radius=sr.radius, repeated_unit_root=repeated_unit
     )
 
 

@@ -9,6 +9,7 @@ cross-check.
 import dataclasses
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from romstab import (
     SampleSet,
     Trajectory,
     amplification_matrix,
-    assess_amplification_stability,
     build_string_model,
     cd_step,
     collocate_naive,
@@ -35,11 +35,15 @@ from romstab import (
     hrom_step,
     integrate,
     modal_basis,
+    read_basis,
+    read_model,
     read_trajectory,
     sampled_step_matrix,
     spectral_radius,
     write_trajectory,
 )
+from romstab import cli
+from romstab.integrator import _BLOCK, _block_rows
 
 
 def _reference_run(mass, damping, stiffness, x0, v0, dt, steps):
@@ -133,32 +137,6 @@ class TestMatrixPowerIdentity:
         a = amplification_matrix(np.array([1.0]), np.zeros((1, 1)),
                                  np.array([[4.0]]), 0.5)
         assert np.allclose(a, [[1.0, -1.0], [1.0, 0.0]])
-
-
-class TestStabilityAssessment:
-    def test_stable_below_critical(self):
-        a = amplification_matrix(np.array([1.0]), np.zeros((1, 1)),
-                                 np.array([[4.0]]), 0.9)
-        out = assess_amplification_stability(a)
-        assert out.stable
-        assert out.radius <= 1.0 + 1e-12
-
-    def test_unstable_above_critical(self):
-        a = amplification_matrix(np.array([1.0]), np.zeros((1, 1)),
-                                 np.array([[4.0]]), 1.1)
-        out = assess_amplification_stability(a)
-        assert not out.stable
-        assert out.radius > 1.0
-
-    def test_defective_unit_root_at_critical_is_unstable(self):
-        """Exactly at the undamped critical step the unit root is repeated
-        and defective: radius 1, but linearly growing — flagged unstable."""
-        a = amplification_matrix(np.array([1.0]), np.zeros((1, 1)),
-                                 np.array([[4.0]]), 1.0)
-        out = assess_amplification_stability(a)
-        assert abs(out.radius - 1.0) < 1e-12
-        assert out.repeated_unit_root
-        assert not out.stable
 
 
 class TestIntegrate:
@@ -312,6 +290,19 @@ def _stepped(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
     return np.array(times), np.array(states), False, None
 
 
+def _diverging_at(model, x0, step):
+    """``(dt, blowup)`` at which a run from ``x0`` at rest first diverges at
+    ``step``: 1.02 times the critical step, whose norms grow steadily there,
+    and a limit one ulp below the norm at ``step``."""
+    dt = 1.02 * critical_dt_report(model).dt_crit
+    with np.errstate(all="ignore"):
+        _, states, _, _ = _stepped(model, x0, np.zeros(model.dim), step * dt, dt,
+                                   blowup=1e300)
+    norms = np.linalg.norm(states, axis=1)
+    assert np.linalg.norm(x0) < 1.0 and norms[step] > norms[1:step].max()
+    return dt, np.nextafter(norms[step], 0.0)
+
+
 class TestIntegrateParity:
     """``integrate`` and a loop of public steps agree bit for bit."""
 
@@ -387,6 +378,67 @@ class TestIntegrateParity:
         assert traj.divergence_step == 1
         assert np.all(np.isfinite(traj.states[-1]))
 
+    @pytest.mark.parametrize("record_every", [1, 7, 256])
+    @pytest.mark.parametrize("n_steps", [0, 1, 255, 256, 257, 700])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_block_boundaries(self, systems, kind, n_steps, record_every):
+        model = systems[kind]
+        assert _block_rows(2 * model.dim) == _BLOCK  # blocks of 256 steps
+        dt = 0.9 * critical_dt_report(model).dt_crit
+        x0 = 0.1 * np.linspace(-1.0, 1.0, model.dim)
+        v0 = np.linspace(0.5, -0.2, model.dim)
+        traj = self._compare(model, x0, v0, n_steps * dt, dt, record_every=record_every)
+        assert not traj.divergence_flag
+        assert len(traj.times) == 1 + -(-n_steps // record_every)
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("step", [256, 257, 300])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_divergence_across_blocks(self, systems, kind, step, record_every):
+        # the last row of the first block, the first and a middle row of the
+        # second; the steps after it in its block are run and discarded
+        model = systems[kind]
+        x0 = 0.1 * np.linspace(-1.0, 1.0, model.dim)
+        dt, blowup = _diverging_at(model, x0, step)
+        traj = self._compare(model, x0, np.zeros(model.dim), 700 * dt, dt,
+                             record_every=record_every, blowup=blowup)
+        assert traj.divergence_step == step
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_capped_block_of_a_large_full_model(self, record_every):
+        # 2 m floats a row: the block holds fewer than 256 steps
+        base = build_string_model(200, element_mass=1.0, element_stiffness=10.0,
+                                  length=1.0, boundary_factor=3.0, a1=0.05, a2=0.002)
+        table = ForceTable(np.linspace(0.0, 30.0, 7),
+                           0.1 * np.random.default_rng(5).standard_normal((7, 200)))
+        model = FullOrderModel(m=200, mass=base.mass, stiffness=base.stiffness,
+                               a1=base.a1, a2=base.a2, elements=base.elements,
+                               external_force=table)
+        rows = _block_rows(2 * model.dim)
+        assert 1 < rows < _BLOCK and _block_rows(2 * 16384) == 1
+        x0 = 0.1 * np.linspace(-1.0, 1.0, model.dim)
+        v0 = np.linspace(0.5, -0.2, model.dim)
+        dt = 0.9 * critical_dt_report(model).dt_crit
+        traj = self._compare(model, x0, v0, 700 * dt, dt, record_every=record_every)
+        assert not traj.divergence_flag
+        for step in (rows, 2 * rows, 2 * rows + 1):
+            dt, blowup = _diverging_at(model, x0, step)
+            traj = self._compare(model, x0, np.zeros(model.dim), 700 * dt, dt,
+                                 record_every=record_every, blowup=blowup)
+            assert traj.divergence_step == step
+
+    @pytest.mark.parametrize("case", ["blowup", "overflow"])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_divergent_runs_warn_nothing(self, systems, kind, case):
+        # the steps run past a divergence overflow without a RuntimeWarning
+        model = systems[kind]
+        dt = 1.5 * critical_dt_report(model).dt_crit
+        x0 = np.linspace(-1.0, 1.0, model.dim) * (1e150 if case == "overflow" else 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(model, x0, np.zeros(model.dim), 700 * dt, dt, blowup=10.0)
+        assert traj.divergence_flag
+
 
 def _table_at(table, t):
     """Clamped linear interpolation by ``np.interp``, column by column."""
@@ -409,6 +461,48 @@ def _two_step_oracle(model, x0, v0, dt, steps):
         force = _table_at(table, n * dt) - model.damping @ ((x - x_prev) / dt) - model.stiffness @ x
         x_prev, x = x, 2.0 * x - x_prev + dt * dt * (minv @ force)
     return x
+
+
+class TestDivergentCliRuns:
+    """The README model's divergent runs: exit 4, no RuntimeWarning, and the
+    stdout line and CSV of a loop of public steps."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("readme")
+        model, basis = str(root / "model.json"), str(root / "basis.json")
+        assert cli.run(["build", "string", "--m", "100", "--M", "1", "--K", "10",
+                        "-o", model]) == 0
+        assert cli.run(["reduce", model, "--modes", "0:10", "-o", basis]) == 0
+        return root, model, basis
+
+    @pytest.mark.parametrize("reduced, args, rows", [
+        (True, ["--dt-frac", "3", "--t-end", "50"], 6),
+        (False, ["--dt-frac", "1.05", "--steps", "2000"], None),
+    ])
+    def test_matches_public_steps_without_warnings(self, files, capsys, reduced, args, rows):
+        root, model_path, basis_path = files
+        path, expected = str(root / "run.csv"), str(root / "expected.csv")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.run(["integrate", model_path] + (["--basis", basis_path] if reduced else [])
+                         + args + ["--x0-random", "1.0", "-o", path])
+        out = capsys.readouterr().out
+        assert rc == 4
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+        model = read_model(model_path)
+        system = galerkin_reduce(model, read_basis(basis_path, mass=model.mass)) if reduced else model
+        dt = float(args[1]) * critical_dt_report(system).dt_crit
+        t_end = float(args[3]) if args[2] == "--t-end" else int(args[3]) * dt
+        x0 = np.random.default_rng(0).standard_normal(system.dim)
+        times, states, flag, step = _stepped(system, x0, np.zeros(system.dim), t_end, dt)
+        write_trajectory(Trajectory(times, states, flag, step), expected)
+        assert flag and len(times) == (rows or len(times))
+        assert out == f"wrote {path}: {len(times)} rows, dt = {dt:.10g}, DIVERGED at step {step}\n"
+        with open(path, "rb") as got, open(expected, "rb") as want:
+            assert got.read() == want.read()
 
 
 class TestStepOperator:
