@@ -46,7 +46,7 @@ from .hyper import (
     write_weights,
 )
 from .integrator import Trajectory, integrate, read_trajectory, write_trajectory
-from .kernels import max_gen_eigenvalue, thin_svd
+from .kernels import thin_svd
 from .models import build_string_model, read_json, read_model, write_model
 from .reduction import (
     galerkin_reduce,
@@ -172,7 +172,7 @@ def cmd_build(ns):
         element_stiffness=opts["element_stiffness"], length=opts["length"],
         boundary_factor=opts["boundary"], a1=opts["a1"], a2=opts["a2"],
     )
-    mu_max = max_gen_eigenvalue(model.stiffness, model.mass)
+    mu_max = model.max_eigenvalue()
     write_model(model, opts["output"])
     _emit(
         ns,

@@ -81,11 +81,30 @@ class Trajectory:
 
 _BLOCK = 256  # steps per block: one load lookup, one buffer fill, one divergence pass
 _BLOCK_FLOATS = 2**15  # the steps of a block hold at most 256 KiB, or one step
+_RECORD_FLOATS = 2**24  # records preallocated up front: 128 MiB, doubled past that
 
 
 def _block_rows(width):
     """Steps per block of ``width``-float states: 1 to ``_BLOCK``, within ``_BLOCK_FLOATS``."""
     return max(1, min(_BLOCK, _BLOCK_FLOATS // width))
+
+
+def _norm(x):
+    """``norm(x)``; when its squares overflow but ``x`` is finite, ``p norm(x / p)``
+    with ``p`` the largest ``|x_i|``, so a finite norm stays finite."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if math.isinf(norm) and np.all(np.isfinite(x)):
+        peak = float(np.max(np.abs(x)))
+        norm = peak * float(np.linalg.norm(x / peak))
+    return norm
+
+
+def _grown(records, rows):
+    """``records`` in the first rows of a new array of ``rows`` rows."""
+    out = np.empty((rows,) + records.shape[1:])
+    out[: len(records)] = records
+    return out
 
 
 def _cd_advance(model, x, v_half, t, dt, out):
@@ -117,13 +136,17 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
 
     Records the initial state, every ``record_every``-th step and the
     final step.  A run is flagged divergent — and stops — when the state
-    stops being finite or ``norm(x)`` exceeds ``blowup * max(1, norm(x0))``.
+    stops being finite or ``norm(x)`` exceeds ``blowup * max(1, norm(x0))``;
+    a norm whose squares overflow is taken scaled by the largest entry, so a
+    finite ``x0`` always gives a finite limit.
 
     Steps fill a block buffer of ``[x; velocity]`` rows, at most ``_BLOCK``
     and at most 256 KiB of them unless one row is larger, and one pass over
-    each filled block tests divergence and takes the records; steps that a
-    block ran past a divergence are discarded.  So the records, the flag and
-    the divergence step equal those of a loop of public steps.
+    each filled block tests divergence and copies the records straight into
+    ``times``/``states`` arrays sized for the whole run (up to 128 MiB, doubled
+    past that) and cut at a divergence; steps that a block ran past a
+    divergence are discarded.  So the records, the flag and the divergence
+    step equal those of a loop of public steps.
 
     Returns a :class:`Trajectory`; divergence is reported on the
     trajectory, not raised.  More than 1e9 steps is a ``ValueError``.
@@ -162,12 +185,15 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
     buffer = np.empty((min(n_steps, _block_rows(z.size)) + 1, z.size))
     buffer[0] = z
     rows = list(buffer)
-    limit = float(blowup) * max(1.0, float(np.linalg.norm(x0)))
+    limit = float(blowup) * max(1.0, _norm(x0))
     # norm(x) is sqrt(x.dot(x)) and a sum of the 2 dim squares of x and v, in any
     # order, is off by under 2 dim ulps, so a sum within ``bound`` proves the step
     # sound; NaN, inf, overflow and states near the limit take the exact tests
     bound = min(limit * limit, np.finfo(float).max) * (1.0 - 8 * x0.size * 2.0**-53)
-    times, states = [np.zeros(1)], [x0[None]]
+    total = 1 + -(-n_steps // record_every)  # the records of a run to the end
+    times = np.empty(min(total, max(1, _RECORD_FLOATS // k)))
+    states = np.empty((times.size, k))
+    times[0], states[0], count = 0.0, x0, 1
     t, n, divergence_step = 0.0, 0, None
 
     # steps past a divergence fill the rest of their block and are discarded,
@@ -195,19 +221,27 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
             squares = np.matmul(parts[:, None], parts[..., None])[:, 0, 0]  # row by row
             for i in (~(squares <= bound)).nonzero()[0].tolist():
                 if (not np.all(np.isfinite(xs[i + 1])) or not np.all(np.isfinite(vs[i]))
-                        or float(np.linalg.norm(xs[i + 1])) > limit):
+                        or _norm(xs[i + 1]) > limit):
                     size, divergence_step = i + 1, n + i + 1
                     break
             keep = slice(record_every - n % record_every, size + 1, record_every)
-            if (divergence_step is not None or n + size == n_steps) and (n + size) % record_every:
-                keep = [*range(size + 1)[keep], size]
-            times.append(ts[keep].copy())  # copies: a view would keep its whole
-            states.append(xs[keep].copy())  # block alive, and the buffer is reused
-            t, n = ts[size], n + size
+            kept = ts[keep]
+            last = ((divergence_step is not None or n + size == n_steps)
+                    and (n + size) % record_every)
+            end = count + len(kept) + bool(last)
+            if end > len(times):
+                capacity = min(total, max(end, 2 * len(times)))
+                times, states = _grown(times, capacity), _grown(states, capacity)
+            times[count:count + len(kept)] = kept
+            states[count:count + len(kept)] = xs[keep]
+            if last:
+                times[end - 1], states[end - 1] = ts[size], xs[size]
+            t, n, count = ts[size], n + size, end
             buffer[0] = buffer[size]
 
-    return Trajectory(np.concatenate(times), np.concatenate(states),
-                      divergence_step is not None, divergence_step)
+    if count < len(times):  # cut at a divergence or past growth: keep only the records
+        times, states = times[:count].copy(), states[:count].copy()
+    return Trajectory(times, states, divergence_step is not None, divergence_step)
 
 
 def amplification_matrix(mass, damping, stiffness, dt):

@@ -10,7 +10,15 @@ arrays of the diagonal entries.
 
 Eigen/SVD/QR work is delegated to numpy's LAPACK bindings; the routines
 here add the contracts the rest of the package relies on (ordering,
-rank checks, error types).  ``sparse_nnls`` is implemented directly
+rank checks, error types).  Two spectral routines for a tridiagonal ``K``
+cost O(m) instead of LAPACK's O(m**3), on the same mass-normalized form:
+:func:`tridiagonal_max_bracket` brackets the largest eigenvalue by Sturm
+(inertia) counts, whose stated backward-error margin makes the upper end
+certified, and :func:`tridiagonal_lowest_modes` takes the lowest modes from
+shift-invert Lanczos, accepted only with round-off residuals and a count
+that proves no mode missed.  A model uses them from order
+``_SPARSE_MIN_M`` up (``FullOrderModel.max_eigenvalue`` and ``modes``).
+``sparse_nnls`` is implemented directly
 because its termination rule — stop as soon as the residual drops below
 a relative tolerance — is part of its contract.  It is a Lawson-Hanson
 active set on an updated thin QR factor of the support, so a pass costs
@@ -37,6 +45,8 @@ __all__ = [
     "gen_eig_diag_mass",
     "max_gen_eigenvalue",
     "block_max_gen_eigenvalues",
+    "tridiagonal_max_bracket",
+    "tridiagonal_lowest_modes",
     "thin_svd",
     "m_orthonormalize",
     "pseudoinverse",
@@ -166,18 +176,24 @@ def _pencil(stiffness, mass):
     return stiffness, mass
 
 
+def _mass_scaling(diagonal, mass):
+    """``(s, e)``, ``s = 2**(-e/2) M**-1/2``, so that ``2**e s_i K_ij s_j`` is the
+    symmetric similarity ``M**-1/2 K M**-1/2`` of ``inv(M) K``, for one pencil or a
+    stack.  ``2**e``, a power of four near the largest diagonal entry of ``K`` (which
+    bounds ``|K|`` when ``K`` is PSD), keeps the product finite near the top of the
+    double range; applied through ``M**-1/2`` it is exact, so every bit stays."""
+    peak = np.max(np.abs(diagonal), axis=-1, initial=0.0)
+    half = np.frexp(peak)[1] // 2
+    return np.ldexp(1.0 / np.sqrt(mass), -half[..., None]), 2 * half
+
+
 def _mass_normalized(stiffness, mass):
     """``(S, e)``, ``2**e S`` the symmetric similarity ``M**-1/2 K M**-1/2`` of
-    ``inv(M) K``, for one pencil or a stack.  ``2**e``, a power of four near the
-    largest diagonal entry of ``K`` (which bounds ``|K|`` when ``K`` is PSD), keeps
-    the product finite near the top of the double range; applied through
-    ``M**-1/2`` it is exact, so every bit stays."""
-    peak = np.max(np.abs(np.diagonal(stiffness, 0, -2, -1)), axis=-1, initial=0.0)
-    half = np.frexp(peak)[1] // 2
-    inv_sqrt = np.ldexp(1.0 / np.sqrt(mass), -half[..., None])
+    ``inv(M) K`` (:func:`_mass_scaling`), for one pencil or a stack."""
+    inv_sqrt, exponent = _mass_scaling(np.diagonal(stiffness, 0, -2, -1), mass)
     # s_i s_j is exactly s_j s_i (IEEE multiplication commutes),
     # so the elementwise product with an exactly symmetric K is symmetric too.
-    return stiffness * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :]), 2 * half
+    return stiffness * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :]), exponent
 
 
 def _scaled_back(values, exponent):
@@ -230,6 +246,217 @@ def block_max_gen_eigenvalues(stiffness, mass):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolve did not converge: {exc}") from exc
     return _scaled_back(values, exponent)
+
+
+_SPARSE_MIN_M = 512  # models from this order up use the O(m) tridiagonal routines
+_LANCZOS_STEPS = 32  # steps of the Lanczos run that places the first Sturm counts
+_SHIFTS = 64  # shifts per multisection pass
+_RESIDUAL_TOL = 2.0**-46  # largest accepted mode residual, relative to the bound on |T|
+_BRACKET_RTOL = 1e-13  # relative width to which the multisection narrows the bracket
+
+
+def _tridiagonal_form(diag, off, mass):
+    """``(a, b, e, bound)``: ``2**e T``, ``T`` the symmetric tridiagonal of diagonal ``a``
+    and off-diagonal ``b``, is ``M**-1/2 K M**-1/2`` for the ``K`` of diagonal ``diag``
+    and off-diagonal ``off``, and ``bound = max|a| + 2 max|b|`` bounds ``|T|``.  The
+    entries are those of :func:`_mass_normalized`, and one more exact power of two
+    brings the largest into ``[0.5, 1)``, so ``b**2`` stays finite.  ``T = 0`` stays 0;
+    an overflowed entry leaves ``bound`` non-finite."""
+    diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
+    s, exponent = _mass_scaling(diag, mass)
+    a, b = diag * (s * s), off * (s[:-1] * s[1:])
+    top = np.frexp(max(np.max(np.abs(a)), np.max(np.abs(b), initial=0.0)))[1]
+    a, b = np.ldexp(a, -top), np.ldexp(b, -top)
+    return a, b, exponent + top, float(np.max(np.abs(a)) + 2.0 * np.max(np.abs(b), initial=0.0))
+
+
+def _tridiagonal_times(a, b, v):
+    """``T v`` for each row ``v`` of ``v``."""
+    y = a * v
+    y[..., :-1] += b * v[..., 1:]
+    y[..., 1:] += b * v[..., :-1]
+    return y
+
+
+def _sturm_counts(a, b2, shifts):
+    """For each shift ``x``, the negative pivots of ``LDL^T`` of ``T - x I``: by Sylvester's
+    law of inertia the eigenvalues below ``x``.  The pivots ``q_i = (a_i - x) - b_{i-1}**2 /
+    q_{i-1}`` run for all shifts at once; a zero ``b_{i-1}`` leaves ``q_i = a_i - x``.  The
+    computed count is the exact count of a ``T`` whose off-diagonal moved by at most five
+    roundings of ``b**2`` (J. W. Demmel, *Applied Numerical Linear Algebra*, 1997, §5.3.4);
+    :func:`_count_margin` bounds how far that moves an eigenvalue.  IEEE infinities carry a
+    zero pivot through: the next is ``-inf``, and the one after ``a - x`` again."""
+    pivots = a[:, None] - shifts
+    quotient = np.empty(len(shifts))
+    previous = pivots[0]
+    with np.errstate(divide="ignore", over="ignore"):
+        for row, beta2 in zip(pivots[1:], b2.tolist()):
+            if beta2:
+                np.subtract(row, np.divide(beta2, previous, out=quotient), out=row)
+            previous = row
+    return np.count_nonzero(pivots < 0.0, axis=0)
+
+
+def _count_margin(b):
+    """How far an eigenvalue of the ``T`` that :func:`_sturm_counts` counts exactly may lie
+    from that of ``T``: five roundings of each ``b_i**2`` move ``b_i`` by at most 2.5 ulps,
+    so the 2-norm by at most ``5 u max|b|``; ``2**-50 max|b|`` is ``8 u max|b|``, and
+    ``2**-500`` covers the underflow of ``b_i**2`` and of the quotients (``|T| < 3``)."""
+    return 2.0**-50 * float(np.max(np.abs(b), initial=0.0)) + 2.0**-500
+
+
+def _lanczos(apply, start, steps):
+    """Orthonormal rows spanning the Krylov space of ``apply`` from ``start``: ``steps`` of
+    them, fewer if the space closes.  Each new vector is reorthogonalized fully, twice
+    against every row before it."""
+    q = np.empty((steps, start.size))
+    q[0] = start / np.linalg.norm(start)
+    for j in range(1, steps):
+        w = apply(q[j - 1])
+        norm = np.linalg.norm(w)
+        for _ in range(2):
+            w -= (q[:j] @ w) @ q[:j]
+        beta = np.linalg.norm(w)
+        if not beta > 2.0**-40 * norm:
+            return q[:j]
+        q[j] = w / beta
+    return q
+
+
+def _ritz(a, b, q):
+    """Rayleigh-Ritz of ``T`` on the rows of ``q``: ascending Ritz values, the Ritz
+    vectors as rows, and each one's residual norm ``|T y - theta y|``."""
+    tq = _tridiagonal_times(a, b, q)
+    theta, s = np.linalg.eigh(symmetrize(q @ tq.T))
+    y, ty = s.T @ q, s.T @ tq
+    return theta, y, np.linalg.norm(ty - theta[:, None] * y, axis=1)
+
+
+def _start(m):
+    """The fixed start vector of the Lanczos runs."""
+    return np.random.default_rng(0).standard_normal(m)
+
+
+def tridiagonal_max_bracket(diag, off, mass):
+    """``(lower, upper)`` around the largest eigenvalue of ``inv(M) K`` for a tridiagonal
+    ``K`` (diagonal ``diag``, off-diagonal ``off``) in O(m) work, or None when its
+    mass-normalized form is not finite (the dense path then decides).
+
+    Every end is certified by a Sturm count of :func:`_sturm_counts` on the form of
+    :func:`_tridiagonal_form`, widened by :func:`_count_margin` and rounded outward: a
+    count of ``m`` below ``x`` puts the eigenvalue below ``x`` plus the margin, a smaller
+    count at or above ``x`` minus it.  A short Lanczos run only chooses where the first
+    counts go: at its top Ritz value ``theta`` plus and minus offsets spaced
+    geometrically from its residual (at least ``2**-48`` of the bound on ``|T|``) down
+    to ``2**-52`` of it, and at twice that bound on either side.  Vectorized
+    multisection (``_SHIFTS`` counts a pass) then narrows the bracket until
+    ``upper - lower <= _BRACKET_RTOL * upper`` up to the margins, or until no double lies
+    between its counted ends.  An end beyond the double range raises
+    :class:`NumericalRangeError`.
+    """
+    a, b, exponent, bound = _tridiagonal_form(diag, off, mass)
+    if not np.isfinite(bound):
+        return None
+    if bound == 0.0:
+        return 0.0, 0.0
+    m = a.size
+    b2, margin = b * b, _count_margin(b)
+    q = _lanczos(lambda v: _tridiagonal_times(a, b, v), _start(m), min(m, _LANCZOS_STEPS))
+    theta, _, residual = _ritz(a, b, q)
+    offsets = np.geomspace(max(float(residual[-1]), 2.0**-48 * bound), 2.0**-52 * bound,
+                           _SHIFTS // 2 - 1)
+    shifts = np.concatenate(([-2.0 * bound], theta[-1] - offsets, theta[-1] + offsets,
+                             [2.0 * bound]))
+    lo, hi = -np.inf, np.inf
+    for _ in range(200):
+        counts = _sturm_counts(a, b2, shifts)
+        hi = min(hi, np.min(shifts[counts == m], initial=np.inf))
+        lo = max(lo, np.max(shifts[counts < m], initial=-np.inf))
+        if not (lo < hi and np.isfinite(hi)) or hi - lo <= _BRACKET_RTOL * abs(hi) \
+                or np.nextafter(lo, hi) >= hi:
+            break
+        shifts = np.linspace(lo, hi, _SHIFTS + 2)[1:-1]
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        return None
+    ends = np.array([lo - margin, hi + margin])
+    inward = np.abs(ends - (lo, hi)) < margin  # rounded toward the bracket: one ulp out
+    ends = np.where(inward, np.nextafter(ends, (-np.inf, np.inf)), ends)
+    lower, upper = _scaled_back(ends, exponent)
+    return float(lower), float(upper)
+
+
+def _ldl(diag, off):
+    """The ``LDL^T`` factor of the tridiagonal of diagonal ``diag`` and off-diagonal ``off``
+    as ``(forward, backward, d)``: the subdiagonal of the unit ``L`` led by a 0, the same
+    reversed, and the pivots; None unless every pivot is positive (positive definite)."""
+    pivot = float(diag[0])
+    pivots, multipliers = [pivot], [0.0]
+    for ai, bi in zip(diag[1:].tolist(), off.tolist()):
+        if not pivot > 0.0:
+            return None
+        multipliers.append(bi / pivot)
+        pivot = ai - multipliers[-1] * bi
+        pivots.append(pivot)
+    if not pivot > 0.0:
+        return None
+    return multipliers, [0.0] + multipliers[:0:-1], np.array(pivots)
+
+
+def _ldl_solve(factor, r):
+    """``x`` with ``L D L^T x = r`` for the factor of :func:`_ldl`: two scalar recurrences."""
+    forward, backward, pivots = factor
+    y, prev = [], 0.0
+    for ri, li in zip(r.tolist(), forward):
+        prev = ri - li * prev
+        y.append(prev)
+    x, prev = [], 0.0
+    for zi, li in zip(reversed((np.array(y) / pivots).tolist()), backward):
+        prev = zi - li * prev
+        x.append(prev)
+    return np.array(x[::-1])
+
+
+def tridiagonal_lowest_modes(diag, off, mass, count):
+    """The ``count`` lowest eigenpairs of ``inv(M) K`` for a tridiagonal ``K`` (diagonal
+    ``diag``, off-diagonal ``off``), as :func:`gen_eig_diag_mass` would give them, in
+    O(m count**2) work; None when they are not certified (the dense path then decides).
+
+    Shift-invert Lanczos with full reorthogonalization runs ``2 count + 22`` steps on
+    one ``LDL^T`` factor of ``T - sigma I``, ``T`` the form of :func:`_tridiagonal_form`
+    and ``sigma < 0``: minus 1/64 of the least of the shifts ``2**(1-j)`` times the
+    bound on ``|T|`` with more than ``count`` eigenvalues below, so a rigid (ungrounded)
+    chain factors and the wanted modes stay well apart after inversion.  A Rayleigh-Ritz
+    step with ``T`` ends it.  The result is accepted only when three things hold.  Every
+    wanted residual is within ``_RESIDUAL_TOL`` of the bound.  The wanted Ritz values and
+    the next lie more than ``2**20`` times ``reach`` apart, ``reach`` the Frobenius norm
+    of the wanted residuals (by Kahan's theorem each of those Ritz values lies that
+    close to its own eigenvalue) plus :func:`_count_margin`: so each mode is simple and
+    its vector within an angle of about ``2**-20`` (a repeated eigenvalue has no unique
+    mode, and dense ``eigh`` keeps choosing one).  And a Sturm count halfway between the
+    last wanted and the next Ritz value finds exactly ``count`` eigenvalues below it: so
+    no mode is missed.  Each vector's entry of largest magnitude is positive.
+    """
+    a, b, exponent, bound = _tridiagonal_form(diag, off, mass)
+    if not (np.isfinite(bound) and bound > 0.0 and 0 < count < a.size):
+        return None
+    m, b2 = a.size, b * b
+    shifts = 2.0 * bound * 2.0 ** -np.arange(64.0)
+    sigma = -np.min(shifts[_sturm_counts(a, b2, shifts) > count]) / 64.0
+    factor = _ldl(a - sigma, b)
+    if factor is None:
+        return None
+    q = _lanczos(lambda v: _ldl_solve(factor, v), _start(m), min(m, 2 * count + 22))
+    theta, y, residual = _ritz(a, b, q)
+    if len(theta) <= count or not np.max(residual[:count]) <= _RESIDUAL_TOL * bound:
+        return None
+    split = 0.5 * (theta[count - 1] + theta[count])
+    reach = float(np.sqrt(np.sum(residual[:count] ** 2))) + _count_margin(b)
+    if not (np.min(np.diff(theta[:count + 1])) > 2.0**20 * reach
+            and _sturm_counts(a, b2, np.array([split]))[0] == count):
+        return None
+    vectors = y[:count].T
+    vectors *= np.sign(vectors[np.argmax(np.abs(vectors), axis=0), np.arange(count)])
+    return EigenPairs(_scaled_back(theta[:count], exponent), vectors)
 
 
 def thin_svd(snapshots):

@@ -8,6 +8,10 @@ what the hyper-reduction and element-bound machinery feeds on.
 
 The stiffness is stored dense; the full-order force, sampled rows and
 reaches read their nonzeros only, from :attr:`FullOrderModel.operator`.
+Step reports and modal bases take a model's spectrum from
+:meth:`FullOrderModel.max_eigenvalue` and :meth:`FullOrderModel.modes`, which use
+the O(m) tridiagonal routines of :mod:`romstab.kernels` when they apply and dense
+LAPACK otherwise.
 
 The on-disk JSON format is documented with :func:`read_model`.
 """
@@ -24,8 +28,10 @@ from itertools import chain
 import numpy as np
 
 from .errors import FormatError
-from .kernels import (block_max_gen_eigenvalues, require_positive_diagonal, require_psd,
-                      require_symmetric)
+from .kernels import (_SPARSE_MIN_M, EigenPairs, block_max_gen_eigenvalues,
+                      gen_eig_diag_mass, max_gen_eigenvalue, require_positive_diagonal,
+                      require_psd, require_symmetric, tridiagonal_lowest_modes,
+                      tridiagonal_max_bracket)
 
 __all__ = [
     "ForceTable",
@@ -296,6 +302,48 @@ class FullOrderModel:
         damping[row == col] += self.a1 * self.mass
         indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=self.m))))
         return RowSparse(indptr, row, col, stiffness, damping)
+
+    # -- spectrum: the largest eigenvalue and the lowest modes ------------
+
+    @cached_property
+    def _tridiagonal(self):
+        """``(diag, off)`` of ``K`` for the O(m) spectral routines of :mod:`~romstab.kernels`
+        when its pattern is tridiagonal and ``m >= _SPARSE_MIN_M``; else None (dense)."""
+        if self.m < _SPARSE_MIN_M:
+            return None
+        op = self.operator
+        band = op.indices - op.row
+        if np.any(np.abs(band) > 1):
+            return None
+        off = np.zeros(self.m - 1)
+        off[op.row[band == 1]] = op.stiffness[band == 1]
+        return op.stiffness[band == 0], off
+
+    def max_eigenvalue(self):
+        """Largest eigenvalue of ``inv(M) K``.  On the tridiagonal path, the certified
+        upper end of :func:`~romstab.kernels.tridiagonal_max_bracket` (relative width at
+        most 1e-13), so a step from it is never above the exact one; otherwise dense
+        ``eigvalsh``.  One beyond the double range raises :class:`NumericalRangeError`."""
+        bracket = None
+        if self._tridiagonal is not None:
+            bracket = tridiagonal_max_bracket(*self._tridiagonal, self.mass)
+        if bracket is None:
+            return max_gen_eigenvalue(self.stiffness, self.mass)
+        return bracket[1]
+
+    def modes(self, indices):
+        """:class:`~romstab.kernels.EigenPairs` of ``inv(M) K`` at the sorted, distinct
+        0-based ``indices``, vectors of the symmetric form as
+        :func:`~romstab.kernels.gen_eig_diag_mass` gives them.  On the tridiagonal path,
+        with every index within the lowest ``min(64, m // 4)``, they come from
+        :func:`~romstab.kernels.tridiagonal_lowest_modes`; otherwise, or when that does
+        not certify them, from dense ``eigh``, bit for bit."""
+        pairs = None
+        if self._tridiagonal is not None and indices[-1] < min(64, self.m // 4):
+            pairs = tridiagonal_lowest_modes(*self._tridiagonal, self.mass, indices[-1] + 1)
+        if pairs is None:
+            pairs = gen_eig_diag_mass(self.stiffness, self.mass)
+        return EigenPairs(pairs.values[indices], pairs.vectors[:, indices])
 
     # -- interface consumed by the time integrator ------------------------
 

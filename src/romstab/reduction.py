@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import FormatError, RankDeficiencyError
 from .kernels import (
-    gen_eig_diag_mass,
     m_orthonormalize,
     require_positive_diagonal,
     require_psd,
@@ -157,7 +156,10 @@ def modal_basis(model, modes):
     """Mass-orthonormal eigenvectors of ``inv(M) K`` for selected modes.
 
     ``modes`` are 0-based positions in the ascending spectrum; they are
-    sorted and must be distinct.
+    sorted and must be distinct.  They come from ``model.modes``: dense
+    ``eigh``, or for a tridiagonal ``K`` with ``m >= 512`` and modes within
+    the lowest ``min(64, m // 4)`` certified shift-invert Lanczos, whose
+    vectors have their entry of largest magnitude positive.
     """
     modes = [int(i) for i in modes]
     if len(modes) == 0:
@@ -168,10 +170,7 @@ def modal_basis(model, modes):
         raise ValueError(
             f"mode indices must lie in [0, {model.m - 1}], got {modes}"
         )
-    modes = sorted(modes)
-    pairs = gen_eig_diag_mass(model.stiffness, model.mass)
-    phi = pairs.vectors[:, modes]
-    v = phi / np.sqrt(model.mass)[:, None]
+    v = model.modes(sorted(modes)).vectors / np.sqrt(model.mass)[:, None]
     return ReducedBasis(v, MASS_ORTHONORMAL, mass=model.mass)
 
 

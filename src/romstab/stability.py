@@ -30,7 +30,7 @@ import numpy as np
 
 from .hyper import SampledModel, sampled_step_matrix
 from .integrator import amplification_matrix
-from .kernels import max_gen_eigenvalue, spectral_radius, symmetrize
+from .kernels import spectral_radius, symmetrize
 from .models import FullOrderModel
 from .reduction import MASS_ORTHONORMAL, ReducedModel
 
@@ -250,7 +250,7 @@ def verify_rom_dt_dominance(model, basis):
         raise ValueError("dominance check requires a mass-orthonormal basis")
     if basis.m != model.m:
         raise ValueError(f"basis has {basis.m} rows for model order {model.m}")
-    mu_fom = max_gen_eigenvalue(model.stiffness, model.mass)
+    mu_fom = model.max_eigenvalue()
     v = basis.matrix
     reduced = symmetrize(v.T @ (model.stiffness @ v))
     mu_rom = float(np.linalg.eigvalsh(reduced)[-1])
@@ -387,8 +387,12 @@ def critical_dt_report(model):
     """Critical-step report for a full-order, reduced or sampled model.
 
     Full-order models and symmetric reduced models (Galerkin, ECSW) get
-    the exact modal treatment.  Nonsymmetric reduced operators (DEIM,
-    GNAT, projected collocation) and the naive-collocation
+    the exact modal treatment (``modal-exact``).  A full model's largest
+    eigenvalue is ``model.max_eigenvalue()``: dense ``eigvalsh``, or for a
+    tridiagonal ``K`` with ``m >= 512`` the certified upper end of a Sturm
+    bracket of relative width 1e-13, so the step is never above the exact one.
+    Nonsymmetric reduced operators (DEIM, GNAT, projected collocation) and the
+    naive-collocation
     :class:`SampledModel` (one-step matrix :func:`sampled_step_matrix`)
     have no modal decomposition; ``mu_max`` is then the largest
     eigenvalue magnitude of ``inv(M_r) K_r``.
@@ -408,8 +412,7 @@ def critical_dt_report(model):
     :class:`ValueError`.
     """
     if isinstance(model, FullOrderModel):
-        mu_max = max_gen_eigenvalue(model.stiffness, model.mass)
-        return critical_dt_system(mu_max, model.a1, model.a2, model_kind="fom")
+        return critical_dt_system(model.max_eigenvalue(), model.a1, model.a2, model_kind="fom")
     if not isinstance(model, (ReducedModel, SampledModel)):
         raise TypeError(f"cannot report on {type(model).__name__}")
     kind = "rom" if model.provenance == "galerkin" else "hrom"

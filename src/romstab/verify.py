@@ -9,6 +9,7 @@ tolerance) is comfortable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,19 +28,21 @@ from .hyper import (
 )
 from .integrator import IntegratorState, amplification_matrix, cd_step
 from .kernels import (
+    _SPARSE_MIN_M,
     gen_eig_diag_mass,
     m_orthonormalize,
     max_gen_eigenvalue,
     spectral_radius,
     symmetrize,
 )
-from .models import ElementSet, FullOrderModel, assemble
+from .models import ElementSet, FullOrderModel, assemble, build_string_model
 from .reduction import ReducedBasis, galerkin_reduce, modal_basis
 from .stability import (
     check_interlacing,
     critical_dt_at_frequency,
     critical_dt_modal,
     critical_dt_report,
+    critical_dt_system,
     element_dt_bound,
     verify_rom_dt_dominance,
 )
@@ -373,6 +376,28 @@ def _prop_exact_step_boundary(rng, trials):
     return failures, worst, "max rho(0.999 dt_crit) - 1 (tol 1e-12); rho > 1 at 1.001 dt_crit"
 
 
+def _prop_spectral_bracket(rng, trials):
+    """On random damped strings just above ``_SPARSE_MIN_M`` (the tridiagonal path),
+    the reported step is at most the step of the closed-form largest eigenvalue plus
+    that formula's round-off (16 eps relative), and at most 1e-12 below it.  A string
+    of element mass ``M``, element stiffness ``K`` and boundary factor ``beta`` has its
+    top pair of modes localized at the two stiff ends, ``x_j ~ r**j`` with ``|r| <
+    1 / (2 beta)``, at ``(K / M) (2 + 2 sqrt(beta**2 + 1))`` to within ``r**m``."""
+    worst, failures = -np.inf, 0
+    for _ in range(trials):
+        m = _SPARSE_MIN_M + int(rng.integers(0, 16))
+        mass, stiffness = (float(10.0 ** rng.uniform(-3.0, 3.0)) for _ in range(2))
+        beta = float(rng.uniform(1.0, 100.0))
+        model = build_string_model(m, mass, stiffness, 1.0, beta,
+                                   float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 0.01)))
+        mu = stiffness / mass * (2.0 + 2.0 * math.hypot(beta, 1.0))
+        exact = critical_dt_system(mu, model.a1, model.a2).dt_crit
+        excess = critical_dt_report(model).dt_crit / exact - 1.0
+        worst = max(worst, excess)
+        failures += not -1e-12 <= excess <= 16 * np.finfo(float).eps
+    return failures, worst, "max (dt_crit / dt_closed_form - 1) (tol 16 eps; >= -1e-12)"
+
+
 def _saturated_deviation(model, basis, sampled, steps=20, dt_scale=0.5):
     """Relative end-state gap between a saturated sampled model and Galerkin."""
     rom = galerkin_reduce(model, basis)
@@ -474,6 +499,7 @@ _SYMMETRY_BREAKERS = [
 # properties added later come last, so that every earlier one keeps its seed
 _ADDED = [
     ("exact-step-boundary", _prop_exact_step_boundary),
+    ("spectral-bracket", _prop_spectral_bracket),
 ]
 
 PROPERTY_NAMES = tuple(name for name, _ in _PROPERTIES + _SYMMETRY_BREAKERS + _ADDED)

@@ -268,19 +268,30 @@ def systems():
     return _loaded_systems()
 
 
+def _norm(x):
+    """The Euclidean norm; when the squares overflow but ``x`` is finite, the norm
+    of ``x`` over its largest magnitude, times that magnitude."""
+    with np.errstate(over="ignore"):
+        plain = float(np.linalg.norm(x))
+    if not np.isinf(plain) or not np.all(np.isfinite(x)):
+        return plain
+    peak = float(np.max(np.abs(x)))
+    return peak * float(np.linalg.norm(x / peak))
+
+
 def _stepped(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
     """Oracle for :func:`integrate`: public single steps and the plain
     finiteness and norm tests, one state object per step."""
     step = hrom_step if isinstance(model, SampledModel) else cd_step
     state = IntegratorState.initial(x0, v0)
-    limit = blowup * max(1.0, float(np.linalg.norm(state.x)))
+    limit = blowup * max(1.0, _norm(state.x))
     n_steps = int(np.floor(t_end / dt + 1e-9))
     times, states = [state.t], [state.x.copy()]
     for n in range(1, n_steps + 1):
         state = step(model, state, dt)
         if (not np.all(np.isfinite(state.x))
                 or not np.all(np.isfinite(state.v_half))
-                or np.linalg.norm(state.x) > limit):
+                or _norm(state.x) > limit):
             times.append(state.t)
             states.append(state.x.copy())
             return np.array(times), np.array(states), True, n
@@ -343,9 +354,27 @@ class TestIntegrateParity:
         elif case == "inf-v0":
             v0[0] = np.inf
         else:
-            x0 = 1e200 * x0  # x @ x overflows, so the blow-up limit is inf
+            x0 = 1e200 * x0  # x @ x overflows; the norms are taken scaled
         traj = self._compare(model, x0, v0, 40 * dt, dt, blowup=blowup)
         assert traj.divergence_flag is (case != "overflowing-norm")
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_huge_start_keeps_a_finite_limit(self, systems, kind):
+        # x0 @ x0 overflows: the limit is the scaled norm times blowup, so an
+        # unstable run stops while its states are still finite, and nothing warns
+        model = systems[kind]
+        dt_crit = critical_dt_report(model).dt_crit
+        x0 = 1e250 * np.linspace(-1.0, 1.0, model.dim)
+        v0 = np.zeros(model.dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stable = integrate(model, x0, v0, 40 * 0.9 * dt_crit, 0.9 * dt_crit)
+            unstable = integrate(model, x0, v0, 400 * 1.5 * dt_crit, 1.5 * dt_crit,
+                                 blowup=10.0)
+        assert not stable.divergence_flag
+        assert unstable.divergence_flag and np.all(np.isfinite(unstable.states))
+        assert _norm(unstable.states[-1]) > 10.0 * _norm(x0)
+        self._compare(model, x0, v0, 400 * 1.5 * dt_crit, 1.5 * dt_crit, blowup=10.0)
 
     @pytest.mark.parametrize("kind", _KINDS)
     def test_blowup_limit_is_inclusive(self, systems, kind):
@@ -403,6 +432,36 @@ class TestIntegrateParity:
         traj = self._compare(model, x0, np.zeros(model.dim), 700 * dt, dt,
                              record_every=record_every, blowup=blowup)
         assert traj.divergence_step == step
+
+    @pytest.mark.parametrize("diverge", [False, True])
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("kind", ["full", "galerkin", "naive-collocation-p>k"])
+    def test_records_outgrow_their_preallocation(self, monkeypatch, systems, kind,
+                                                 record_every, diverge):
+        # records start at two rows here and double as the run goes on
+        model = systems[kind]
+        monkeypatch.setattr("romstab.integrator._RECORD_FLOATS", 2 * model.dim)
+        x0 = 0.1 * np.linspace(-1.0, 1.0, model.dim)
+        dt, blowup = (_diverging_at(model, x0, 300) if diverge
+                      else (0.9 * critical_dt_report(model).dt_crit, 1e6))
+        traj = self._compare(model, x0, np.zeros(model.dim), 700 * dt, dt,
+                             record_every=record_every, blowup=blowup)
+        assert traj.divergence_step == (300 if diverge else None)
+
+    @pytest.mark.parametrize("kind", ["full", "galerkin"])
+    def test_early_divergence_keeps_only_its_records(self, systems, kind):
+        # records are preallocated for 10**6 steps; the run stops at step 5
+        model = systems[kind]
+        x0 = 0.1 * np.linspace(-1.0, 1.0, model.dim)
+        dt, blowup = _diverging_at(model, x0, 5)
+        tracemalloc.start()
+        try:
+            traj = integrate(model, x0, np.zeros(model.dim), 10**6 * dt, dt, blowup=blowup)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.divergence_step == 5 and len(traj.times) == 6
+        assert held < 2**16
 
     @pytest.mark.parametrize("record_every", [1, 7])
     def test_capped_block_of_a_large_full_model(self, record_every):
