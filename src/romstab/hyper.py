@@ -479,15 +479,16 @@ def ecsw_weighted_operator(model, weights):
         model.elements, model.m, weights=getattr(weights, "xi", weights)
     )
     inv_sqrt = 1.0 / np.sqrt(model.mass)
-    return stiffness_w * np.outer(inv_sqrt, inv_sqrt)
+    return stiffness_w.toarray() * np.outer(inv_sqrt, inv_sqrt)
 
 
 def ecsw_reduce(model, weights, basis):
     """Weighted-element reduced model: identity mass, symmetric operators.
 
-    Stiffness and damping are assembled from the weighted elements and
-    projected; Rayleigh damping keeps its structure with the weighted
-    mass appearing in the mass-proportional part.
+    Stiffness and damping are assembled from the weighted elements (the
+    support only) and projected, ``K_w V`` by ``RowSparse.stiffness_times``;
+    Rayleigh damping keeps its structure with the weighted mass appearing in
+    the mass-proportional part.
     """
     _require_mass_orthonormal(basis)
     if basis.m != model.m:
@@ -496,7 +497,7 @@ def ecsw_reduce(model, weights, basis):
         model.elements, model.m, weights=getattr(weights, "xi", weights)
     )
     v = basis.matrix
-    stiffness_r = v.T @ (stiffness_w @ v)
+    stiffness_r = v.T @ stiffness_w.stiffness_times(v)
     damping_r = model.a1 * (v.T @ (mass_w[:, None] * v)) + model.a2 * stiffness_r
     return ReducedModel(
         mass=np.eye(basis.k),

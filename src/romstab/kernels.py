@@ -16,8 +16,10 @@ cost O(m) instead of LAPACK's O(m**3), on the same mass-normalized form:
 (inertia) counts, whose stated backward-error margin makes the upper end
 certified, and :func:`tridiagonal_lowest_modes` takes the lowest modes from
 shift-invert Lanczos, accepted only with round-off residuals and a count
-that proves no mode missed.  A model uses them from order
-``_SPARSE_MIN_M`` up (``FullOrderModel.max_eigenvalue`` and ``modes``).
+that proves no mode missed; :func:`tridiagonal_certifies_psd` certifies
+semi-definiteness with one such count.  A model uses them from order
+``_SPARSE_MIN_M`` up (``FullOrderModel.max_eigenvalue``, ``modes`` and its
+PSD check).
 ``sparse_nnls`` is implemented directly
 because its termination rule — stop as soon as the residual drops below
 a relative tolerance — is part of its contract.  It is a Lawson-Hanson
@@ -46,6 +48,7 @@ __all__ = [
     "max_gen_eigenvalue",
     "block_max_gen_eigenvalues",
     "tridiagonal_max_bracket",
+    "tridiagonal_certifies_psd",
     "tridiagonal_lowest_modes",
     "thin_svd",
     "m_orthonormalize",
@@ -383,6 +386,20 @@ def tridiagonal_max_bracket(diag, off, mass):
     ends = np.where(inward, np.nextafter(ends, (-np.inf, np.inf)), ends)
     lower, upper = _scaled_back(ends, exponent)
     return float(lower), float(upper)
+
+
+def tridiagonal_certifies_psd(diag, off, rtol):
+    """Whether one Sturm count certifies :func:`require_psd`'s test for the symmetric
+    tridiagonal of diagonal ``diag`` and off-diagonal ``off``, in O(m) work: no eigenvalue
+    below ``-rtol max|diag|``, which is at most ``rtol max|lambda|``.  The count runs on the
+    exactly scaled form of :func:`_tridiagonal_form` (unit mass) at that shift plus
+    :func:`_count_margin`.  False means undecided (an eigenvalue near or below the shift,
+    or an entry beyond the double range): the dense test then decides."""
+    a, b, _, bound = _tridiagonal_form(diag, off, np.ones(len(diag)))
+    if not np.isfinite(bound):
+        return False
+    shift = -rtol * float(np.max(np.abs(a))) + _count_margin(b)
+    return int(_sturm_counts(a, b * b, np.array([shift]))[0]) == 0
 
 
 def _ldl(diag, off):

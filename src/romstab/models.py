@@ -6,8 +6,13 @@ stiffness, and Rayleigh damping ``C = a1 M + a2 K``.  Models may carry
 their element blocks as one :class:`ElementSet`; element-level data is
 what the hyper-reduction and element-bound machinery feeds on.
 
-The stiffness is stored dense; the full-order force, sampled rows and
-reaches read their nonzeros only, from :attr:`FullOrderModel.operator`.
+The stiffness is stored row-sparse, as :attr:`FullOrderModel.operator`: its
+values on the nonzeros of ``K`` plus the diagonal, scattered there straight
+from the element blocks or the file's coordinate list.  The full-order force,
+sampled rows, reaches and, from order ``_SPARSE_MIN_M`` up, the reduced
+products ``K V`` read those nonzeros only; a dense ``K`` is kept only once
+:attr:`FullOrderModel.stiffness` is read (the PSD check of a ``K`` that neither
+its elements nor a Sturm count certify forms one and drops it).
 Step reports and modal bases take a model's spectrum from
 :meth:`FullOrderModel.max_eigenvalue` and :meth:`FullOrderModel.modes`, which use
 the O(m) tridiagonal routines of :mod:`romstab.kernels` when they apply and dense
@@ -27,10 +32,10 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, NumericalRangeError
 from .kernels import (_SPARSE_MIN_M, EigenPairs, block_max_gen_eigenvalues,
                       gen_eig_diag_mass, max_gen_eigenvalue, require_positive_diagonal,
-                      require_psd, require_symmetric, tridiagonal_lowest_modes,
+                      require_psd, tridiagonal_certifies_psd, tridiagonal_lowest_modes,
                       tridiagonal_max_bracket)
 
 __all__ = [
@@ -171,16 +176,23 @@ class ElementSet:
 def assemble(elements, m, weights=None):
     """Scatter-add an :class:`ElementSet` into global (mass diagonal, stiffness).
 
-    The global stiffness is exactly symmetric by construction: each
-    element block is, and entries (i, j) and (j, i) accumulate identical
-    addend sequences in identical (element) order.  ``weights``, if given,
+    The stiffness is a :class:`RowSparse` without damping values.  Each
+    entry receives its element addends in element order (``np.add.at`` is
+    unbuffered and runs in index order), as a dense scatter would, so it is
+    bit for bit that scatter; entries (i, j) and (j, i) accumulate identical
+    addend sequences, so it is exactly symmetric.  ``weights``, if given,
     scales each element's mass and stiffness by its factor; elements of
-    weight zero are skipped.
+    weight zero are skipped.  The unweighted scatter is formed once per element
+    set and order and kept on the set, read-only: a builder's scatter is the
+    one the model's element check compares against.
     """
     if m < 1:
         raise ValueError(f"model order must be at least 1, got {m}")
     if elements is None:
         raise ValueError("model carries no element blocks to assemble")
+    kept = elements.__dict__.get("_scatter")
+    if weights is None and kept is not None and kept[0] == m:
+        return kept[1:]
     dofs, me, ke = elements.dofs, elements.mass, elements.stiffness
     top = dofs.max(axis=1)
     if np.any(top >= m):
@@ -194,25 +206,64 @@ def assemble(elements, m, weights=None):
         w = weights[keep]
         dofs, me, ke = dofs[keep], w[:, None] * me[keep], w[:, None, None] * ke[keep]
     mass = np.zeros(m)
-    stiffness = np.zeros((m, m))
-    # np.add.at is unbuffered and runs in index order: element by element
     np.add.at(mass, dofs, me)
-    np.add.at(stiffness, (dofs[:, :, None], dofs[:, None, :]), ke)
+    dofs = dofs.astype(np.intp)
+    rows, cols = (np.broadcast_to(ix, ke.shape).ravel()
+                  for ix in (dofs[:, :, None], dofs[:, None, :]))
+    stiffness = RowSparse.from_entries(m, rows, cols, ke.ravel())
+    if weights is None:
+        for array in (mass, stiffness.indptr, stiffness.row, stiffness.indices,
+                      stiffness.stiffness):
+            array.flags.writeable = False
+        elements.__dict__["_scatter"] = (m, mass, stiffness)
     return mass, stiffness
 
 
 @dataclass(frozen=True, eq=False)
 class RowSparse:
-    """Stiffness and damping on the row-major pattern of ``K`` plus the diagonal
-    (no row is empty): ``row``/``indices`` hold each nonzero's row and column,
-    ``indptr`` each row's first nonzero.  ``damping`` is ``a2 k_ij`` plus ``a1 m_i``
-    on the diagonal, the dense damping's arithmetic, so it matches that bit for bit."""
+    """Stiffness and damping on the row-major pattern of ``K``'s nonzeros plus the
+    diagonal (no row is empty): ``row``/``indices`` hold each entry's row and column,
+    ``indptr`` each row's first entry.  ``damping`` is ``a2 k_ij`` plus ``a1 m_i`` on
+    the diagonal, the dense damping's arithmetic, so it matches that bit for bit; it
+    is None on a bare stiffness, as :func:`assemble` returns it."""
 
     indptr: np.ndarray
     row: np.ndarray
     indices: np.ndarray
     stiffness: np.ndarray
-    damping: np.ndarray
+    damping: np.ndarray | None = None
+
+    @classmethod
+    def from_entries(cls, m, rows, cols, values):
+        """Order-``m`` stiffness summing ``values`` into ``(rows, cols)`` in input order."""
+        keys = np.concatenate((rows * m + cols, np.arange(m) * (m + 1)))
+        keys, pos = np.unique(keys, return_inverse=True)
+        data = np.zeros(keys.size)
+        np.add.at(data, pos[:rows.size], values)
+        row, col = np.divmod(keys, m)
+        keep = (data != 0.0) | (row == col)
+        return cls._row_major(m, row[keep], col[keep], data[keep])
+
+    @classmethod
+    def from_dense(cls, a):
+        """The stiffness of a dense square ``a``: its nonzeros plus the diagonal."""
+        m = a.shape[0]
+        keys = np.flatnonzero(a)  # row-major, with no m x m mask
+        zeros = np.flatnonzero(a.diagonal() == 0.0) * (m + 1)  # stored all the same
+        row, col = np.divmod(np.insert(keys, np.searchsorted(keys, zeros), zeros), m)
+        return cls._row_major(m, row, col, a[row, col])
+
+    @classmethod
+    def _row_major(cls, m, row, col, data):
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=m))))
+        return cls(indptr, row, col, data)
+
+    def toarray(self, data=None):
+        """Dense ``(m, m)`` matrix holding ``data`` (default the stiffness) on the pattern."""
+        m = self.indptr.size - 1
+        out = np.zeros((m, m))
+        out[self.row, self.indices] = self.stiffness if data is None else data
+        return out
 
     def gather(self, rows):
         """Positions of the nonzeros of ``rows``, row after row, and each row's count."""
@@ -225,6 +276,73 @@ class RowSparse:
         pos, counts = self.gather(np.arange(self.indptr.size - 1) if rows is None else rows)
         return np.add.reduceat(data[pos, None] * v[self.indices[pos]], np.cumsum(counts) - counts)
 
+    def stiffness_times(self, v):
+        """``K V`` for a basis ``V``: below order ``_SPARSE_MIN_M`` the dense product,
+        which keeps the digits of the steps reported from it, and from there up the
+        segment sum, with no m x m array."""
+        if self.indptr.size - 1 < _SPARSE_MIN_M:
+            return self.toarray() @ v
+        return self.rows_times(self.stiffness, v)
+
+
+def _require_pattern(op):
+    """A given :class:`RowSparse` as arrays, once its pattern is checked: integer indices,
+    each entry once and in row-major order, every diagonal entry, ``indptr`` from the rows."""
+    indptr, row, col = (np.asarray(a) for a in (op.indptr, op.row, op.indices))
+    data = np.asarray(op.stiffness, dtype=float)
+    if not (indptr.ndim == row.ndim == 1 and row.shape == col.shape == data.shape
+            and indptr.dtype.kind == row.dtype.kind == col.dtype.kind == "i"):
+        raise ValueError("a stiffness pattern needs 1-D integer indptr, row and indices "
+                         "and one value per entry")
+    indptr, row, col = (a.astype(np.intp, copy=False) for a in (indptr, row, col))
+    m = indptr.size - 1
+    inside = row.size == 0 or (min(row.min(), col.min()) >= 0 and max(row.max(), col.max()) < m)
+    if not (inside and np.all(np.diff(row * m + col) > 0)):
+        raise ValueError(f"stiffness pattern entries must lie inside order {m}, "
+                         f"each once, in row-major order")
+    if np.count_nonzero(row == col) != m:
+        raise ValueError("stiffness pattern must store every diagonal entry")
+    if not np.array_equal(indptr, np.concatenate(([0], np.cumsum(np.bincount(row, minlength=m))))):
+        raise ValueError("stiffness pattern indptr does not match its rows")
+    return RowSparse(indptr, row, col, data)
+
+
+def _require_symmetric_rows(op):
+    """:func:`~romstab.kernels.require_symmetric`'s value checks, on the pattern."""
+    if not np.all(np.isfinite(op.stiffness)):
+        raise ValueError("stiffness contains non-finite entries")
+    m = op.indptr.size - 1
+    transpose = np.argsort(op.indices * m + op.row)  # K.T's entries in row-major order
+    if not (np.array_equal(op.indices[transpose], op.row)
+            and np.array_equal(op.row[transpose], op.indices)
+            and np.array_equal(op.stiffness[transpose], op.stiffness)):
+        raise ValueError("stiffness is not exactly symmetric; run symmetrize() on it first")
+
+
+def _scatter_gap(stored, scatter, m):
+    """``|stored - scatter|`` entry by entry, over the union of the two patterns."""
+    keys = np.concatenate([op.row * m + op.indices for op in (stored, scatter)])
+    union, slot = np.unique(keys, return_inverse=True)
+    gap = np.zeros(union.size)
+    np.add.at(gap, slot, np.concatenate((stored.stiffness, -scatter.stiffness)))
+    return np.abs(gap)
+
+
+class _DenseStiffness:
+    """The ``stiffness`` field of :class:`FullOrderModel`: given as a dense ``(m, m)``
+    array or as a :class:`RowSparse` (what :func:`assemble` returns), stored as the
+    model's ``operator``, and read as a dense array formed from it on first access."""
+
+    def __get__(self, model, owner=None):
+        if model is None:
+            raise AttributeError("stiffness")  # the field has no default
+        if "_dense_stiffness" not in model.__dict__:
+            model.__dict__["_dense_stiffness"] = model.operator.toarray()
+        return model.__dict__["_dense_stiffness"]
+
+    def __set__(self, model, value):
+        model.__dict__["_given_stiffness"] = value  # __post_init__ converts it
+
 
 @dataclass(frozen=True, eq=False)
 class FullOrderModel:
@@ -234,13 +352,23 @@ class FullOrderModel:
     exactly symmetric PSD stiffness, finite ``a1, a2 >= 0``, and — when
     an :class:`ElementSet` is attached — agreement between the stored mass and
     stiffness and the scatter of the element blocks (element bounds are
-    conservative only for the stiffness the elements sum to).  The dense
-    PSD check is skipped for an exact scatter of ``scatter_is_psd`` elements.
+    conservative only for the stiffness the elements sum to).  The PSD
+    check is skipped for an exact scatter of ``scatter_is_psd`` elements; for a
+    tridiagonal ``K`` of order ``_SPARSE_MIN_M`` up it is one Sturm count
+    (:func:`~romstab.kernels.tridiagonal_certifies_psd`), and otherwise, or when
+    that count does not certify, dense on a copy it drops.
+
+    ``stiffness`` is given dense or as a :class:`RowSparse` whose pattern is
+    checked; either is kept only as ``operator``, the :class:`RowSparse` of
+    stiffness and damping, and reading ``stiffness`` (``dataclasses.replace``
+    does) forms a dense array from it, once.  The symmetry and element checks
+    run on the pattern; given the scatter that :func:`assemble` keeps on the
+    elements, the model takes it as checked and exact.
     """
 
     m: int
     mass: np.ndarray
-    stiffness: np.ndarray
+    stiffness: np.ndarray = _DenseStiffness()
     a1: float = 0.0
     a2: float = 0.0
     elements: ElementSet | None = None
@@ -249,10 +377,24 @@ class FullOrderModel:
     def __post_init__(self):
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "mass", require_positive_diagonal(self.mass, "mass"))
-        object.__setattr__(self, "stiffness", require_symmetric(self.stiffness, "stiffness"))
-        if self.mass.shape[0] != self.m or self.stiffness.shape[0] != self.m:
+        op, dense = self.__dict__.pop("_given_stiffness"), None
+        kept = None if self.elements is None else self.elements.__dict__.get("_scatter")
+        # the elements' own scatter, as a builder passes it: a valid, exactly symmetric
+        # pattern by construction, and exact
+        own = kept is not None and kept[0] == self.m and kept[2] is op
+        if isinstance(op, RowSparse):
+            op = op if own else _require_pattern(op)
+        else:
+            dense = np.asarray(op, dtype=float)
+            if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+                raise ValueError(f"stiffness must be square, got shape {dense.shape}")
+            op = RowSparse.from_dense(dense)
+        if not own:
+            _require_symmetric_rows(op)
+        order = op.indptr.size - 1
+        if self.mass.shape[0] != self.m or order != self.m:
             raise ValueError(
-                f"mass/stiffness shapes {self.mass.shape}/{self.stiffness.shape} "
+                f"mass/stiffness shapes {self.mass.shape}/{(order, order)} "
                 f"do not match order {self.m}"
             )
         if not (0.0 <= self.a1 < math.inf and 0.0 <= self.a2 < math.inf):
@@ -262,22 +404,27 @@ class FullOrderModel:
             )
         exact = False
         if self.elements is not None:
-            # the scatter is scratch: compare in place, with no m x m temporaries
-            scattered = assemble(self.elements, self.m)
-            for name, stored, scatter in zip(
-                ("mass", "stiffness"), (self.mass, self.stiffness), scattered
-            ):
-                scale = max(float(np.max(scatter)), -float(np.min(scatter)))
-                tol = 1e-12 * max(scale, 1e-300)
-                np.abs(np.subtract(scatter, stored, out=scatter), out=scatter)
-                if np.max(scatter) > tol:
+            mass, stiffness = assemble(self.elements, self.m)
+            gaps = [("mass", mass, np.abs(mass - self.mass))]
+            if not own:
+                gaps.append(("stiffness", stiffness.stiffness,
+                             _scatter_gap(op, stiffness, self.m)))
+            for name, scatter, gap in gaps:
+                tol = 1e-12 * max(float(np.max(np.abs(scatter))), 1e-300)
+                if np.max(gap) > tol:
                     raise ValueError(
                         f"stored {name} differs from the scatter of the element "
                         f"{name}es; the element decomposition is inconsistent"
                     )
-                exact = np.max(scatter) == 0.0  # the stiffness's verdict comes last
+            exact = own or np.max(gaps[-1][2]) == 0.0
+        damping = self.a2 * op.stiffness
+        damping[op.row == op.indices] += self.a1 * self.mass
+        object.__setattr__(self, "operator",
+                           RowSparse(op.indptr, op.row, op.indices, op.stiffness, damping))
         if not (exact and self.elements.scatter_is_psd):
-            require_psd(self.stiffness, "stiffness", 1e-10)
+            band = self._tridiagonal  # a Sturm count, or the dense test on a transient K
+            if band is None or not tridiagonal_certifies_psd(*band, 1e-10):
+                require_psd(op.toarray() if dense is None else dense, "stiffness", 1e-10)
         if self.external_force is not None:
             if self.external_force.values.shape[1] != self.m:
                 raise ValueError(
@@ -287,21 +434,8 @@ class FullOrderModel:
 
     @cached_property
     def damping(self):
-        """Rayleigh damping matrix ``a1 * M + a2 * K`` (exactly symmetric)."""
-        c = self.a2 * self.stiffness
-        c[np.diag_indices(self.m)] += self.a1 * self.mass
-        return c
-
-    @cached_property
-    def operator(self):
-        """Stiffness and damping as one :class:`RowSparse`, built on first use."""
-        pattern = (self.stiffness != 0.0) | np.eye(self.m, dtype=bool)
-        row, col = np.divmod(np.flatnonzero(pattern), self.m)  # row-major
-        stiffness = self.stiffness[row, col]
-        damping = self.a2 * stiffness
-        damping[row == col] += self.a1 * self.mass
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=self.m))))
-        return RowSparse(indptr, row, col, stiffness, damping)
+        """Rayleigh damping matrix ``a1 * M + a2 * K`` (exactly symmetric), dense."""
+        return self.operator.toarray(self.operator.damping)
 
     # -- spectrum: the largest eigenvalue and the lowest modes ------------
 
@@ -344,6 +478,14 @@ class FullOrderModel:
         if pairs is None:
             pairs = gen_eig_diag_mass(self.stiffness, self.mass)
         return EigenPairs(pairs.values[indices], pairs.vectors[:, indices])
+
+    def stiffness_times(self, v):
+        """``K V`` for a basis ``V``: below order ``_SPARSE_MIN_M`` the dense product with
+        :attr:`stiffness` (formed once, then kept), which keeps the digits of the steps
+        reported from it; from there up :meth:`RowSparse.stiffness_times`."""
+        if self.m < _SPARSE_MIN_M:
+            return self.stiffness @ v
+        return self.operator.stiffness_times(v)
 
     # -- interface consumed by the time integrator ------------------------
 
@@ -403,6 +545,11 @@ def build_string_model(
 
     el_len = length / (m - 1)
     wave_speed = el_len * math.sqrt(element_stiffness / element_mass)
+    if not math.isfinite(wave_speed):  # K / M beyond the double range, or the length
+        raise NumericalRangeError(
+            "eigenvalues of inv(M) K overflow double precision"
+            if math.isinf(element_stiffness / element_mass)
+            else f"element wave speed {el_len} * sqrt(K / M) overflows double precision")
     ke = element_stiffness * np.array([[1.0, -1.0], [-1.0, 1.0]])
     stiffness = np.tile(ke, (m - 1, 1, 1))
     stiffness[0, 0, 0] += boundary_factor * element_stiffness
@@ -540,9 +687,9 @@ def _plain_elements(columns, m):
 
 def model_to_dict(model):
     """Plain-data form of a model (see :func:`read_model` for the schema)."""
-    k = model.stiffness
-    rows, cols = np.nonzero(np.triu(k))  # row-major, i <= j
-    coo = zip(rows.tolist(), cols.tolist(), k[rows, cols].tolist())
+    op = model.operator
+    upper = (op.indices >= op.row) & (op.stiffness != 0.0)  # row-major, i <= j
+    coo = zip(op.row[upper].tolist(), op.indices[upper].tolist(), op.stiffness[upper].tolist())
     doc = {
         "m": model.m,
         "mass": [float(v) for v in model.mass],
@@ -575,8 +722,8 @@ def model_from_dict(doc):
         raise FormatError(f"m must be at least 1, got {m}")
     mass = np.array(_as_list(doc["mass"], "mass", _as_number, size=m), dtype=float)
 
-    stiffness = np.zeros((m, m))
     coo = _as_list(doc["stiffness_coo"], "stiffness_coo")
+    i = j = val = ()
     if coo:
         plain = set(map(type, coo)) == {list} and set(map(len, coo)) == {3}
         i, j, val = zip(*coo) if plain else ((),) * 3
@@ -584,8 +731,10 @@ def model_from_dict(doc):
                 and max(j) < m and all(map(int.__le__, i, j)) and len(set(zip(i, j))) == len(i)):
             _check_coo(coo, m)
             i, j, val = zip(*coo)
-        i, j = np.array(i, dtype=int), np.array(j, dtype=int)
-        stiffness[i, j] = stiffness[j, i] = np.array(val, dtype=float)
+    i, j, val = np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(val, dtype=float)
+    off = i != j  # mirrored below the diagonal
+    stiffness = RowSparse.from_entries(m, np.concatenate((i, j[off])),
+                                       np.concatenate((j, i[off])), np.concatenate((val, val[off])))
 
     entries = _as_list(doc.get("elements", []), "elements")
     uniform = (entries and set(map(type, entries)) == {dict}

@@ -296,7 +296,8 @@ def galerkin_reduce(model, basis):
     For a mass-orthonormal basis the reduced mass is the identity by
     construction and is stored exactly as such.  Rayleigh structure
     carries over: the reduced damping equals ``a1 Mr + a2 Kr`` up to
-    round-off.
+    round-off.  ``K V`` comes from ``model.stiffness_times``, dense
+    below order ``_SPARSE_MIN_M`` and row-sparse from there up.
     """
     v = basis.matrix
     if basis.m != model.m:
@@ -308,7 +309,7 @@ def galerkin_reduce(model, basis):
     return ReducedModel(
         mass=mass_r,
         damping=v.T @ op.rows_times(op.damping, v),
-        stiffness=v.T @ (model.stiffness @ v),  # dense: keeps the reported step's digits
+        stiffness=v.T @ model.stiffness_times(v),
         provenance="galerkin",
         symmetric=True,
         basis=basis,

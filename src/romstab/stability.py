@@ -252,7 +252,7 @@ def verify_rom_dt_dominance(model, basis):
         raise ValueError(f"basis has {basis.m} rows for model order {model.m}")
     mu_fom = model.max_eigenvalue()
     v = basis.matrix
-    reduced = symmetrize(v.T @ (model.stiffness @ v))
+    reduced = symmetrize(v.T @ model.stiffness_times(v))
     mu_rom = float(np.linalg.eigvalsh(reduced)[-1])
     dt_fom = critical_dt_system(mu_fom, model.a1, model.a2).dt_crit
     dt_rom = critical_dt_system(max(mu_rom, 0.0), model.a1, model.a2).dt_crit

@@ -704,14 +704,14 @@ class TestNumericalFailures:
         assert "eigensolve did not converge" in err
 
     def test_overflowing_spectrum_writes_nothing(self, tmp_path, capsys):
-        # K = 1e306 with boundary springs: mu_max is about 2e308
-        path = tmp_path / "big.json"
-        rc = run(["build", "string", "--m", "6", "--M", "1", "--K", "1e306",
-                  "-o", str(path)])
-        out, err = _out(capsys)
-        assert rc == 6 and out == ""
-        assert "overflow double precision" in err
-        assert not path.exists()
+        for size in (["--m", "6", "--M", "1", "--K", "1e306"],  # mu_max is about 2e308
+                     ["--m", "100", "--M", "1e-300", "--K", "1e9"]):  # K / M is inf
+            path = tmp_path / "big.json"
+            rc = run(["build", "string", *size, "-o", str(path)])
+            out, err = _out(capsys)
+            assert rc == 6 and out == ""
+            assert "eigenvalues of inv(M) K overflow double precision" in err
+            assert not path.exists()
 
     def test_overflowing_model_file_is_reported(self, tmp_path, capsys):
         path = tmp_path / "big.json"

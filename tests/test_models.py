@@ -15,11 +15,14 @@ from romstab import (
     NumericalRangeError,
     assemble,
     build_string_model,
+    galerkin_reduce,
+    modal_basis,
     read_model,
     write_model,
 )
-from romstab.kernels import max_gen_eigenvalue
-from romstab.models import model_from_dict, model_to_dict
+from romstab.kernels import _SPARSE_MIN_M, max_gen_eigenvalue
+from romstab.models import RowSparse, model_from_dict, model_to_dict
+from romstab.stability import verify_rom_dt_dominance
 from romstab.verify import _random_chain
 
 
@@ -37,6 +40,15 @@ def _loop_assemble(elements, m, weights=None):
         mass[ix] += me
         stiffness[np.ix_(ix, ix)] += ke
     return mass, stiffness
+
+
+def _dense(assembled):
+    """``assemble``'s (mass, RowSparse stiffness) with the stiffness dense."""
+    mass, stiffness = assembled
+    return mass, stiffness.toarray()
+
+
+STIFFNESS_FORMS = [np.asarray, RowSparse.from_dense]  # a dense and a row-sparse input
 
 
 def _oracle_models():
@@ -170,6 +182,7 @@ class TestAssemble:
         k2 = 3.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
         blocks = ElementSet([[0, 1], [1, 2]], [k1, k2], [[1.0, 1.0], [2.0, 2.0]])
         mass, stiffness = assemble(blocks, 3)
+        stiffness = stiffness.toarray()
         assert np.array_equal(mass, [1.0, 3.0, 2.0])
         expected = np.array([
             [2.0, -2.0, 0.0],
@@ -185,13 +198,14 @@ class TestAssemble:
             ke.append(float(rng.uniform(0.5, 2.0)) * np.array([[1.0, -1.0], [-1.0, 1.0]]))
             me.append(rng.uniform(0.5, 2.0, 2))
         blocks = ElementSet([[e, e + 1] for e in range(6)], ke, me)
-        _, stiffness = assemble(blocks, 7)
+        stiffness = assemble(blocks, 7)[1].toarray()
         assert np.array_equal(stiffness, stiffness.T)
 
     def test_weights_scale_elements_and_skip_zeros(self):
         k1 = 2.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
         blocks = ElementSet([[0, 1], [1, 2]], [k1, 3.0 * k1], [[1.0, 1.0], [2.0, 2.0]])
         mass, stiffness = assemble(blocks, 3, weights=[0.5, 0.0])
+        stiffness = stiffness.toarray()
         assert np.array_equal(mass, [0.5, 0.5, 0.0])
         assert np.array_equal(stiffness[:2, :2], 0.5 * k1)
         assert not stiffness[2].any()
@@ -202,12 +216,12 @@ class TestAssemble:
         rng = np.random.default_rng(31)
         for model in _oracle_models():
             es, m = model.elements, model.m
-            for got, expected in zip(assemble(es, m), _loop_assemble(es, m)):
+            for got, expected in zip(_dense(assemble(es, m)), _loop_assemble(es, m)):
                 assert np.array_equal(got, expected)
             xi = rng.uniform(0.0, 2.0, len(es))
             xi[rng.random(len(es)) < 0.4] = 0.0
             xi[0] = 0.0
-            for got, expected in zip(assemble(es, m, weights=xi),
+            for got, expected in zip(_dense(assemble(es, m, weights=xi)),
                                      _loop_assemble(es, m, weights=xi)):
                 assert np.array_equal(got, expected)
 
@@ -240,7 +254,7 @@ class TestStringModel:
         # the element decomposition must scatter back to the stored matrices
         mass, stiffness = assemble(model.elements, model.m)
         assert np.array_equal(mass, model.mass)
-        assert np.array_equal(stiffness, model.stiffness)
+        assert np.array_equal(stiffness.toarray(), model.stiffness)
 
     def test_trace_identity(self):
         """trace(inv(M) K) = (K/M) * (4 * boundary_factor + 2 m - 2 + 4)."""
@@ -256,6 +270,14 @@ class TestStringModel:
         el_len = 0.5 / 3.0
         assert model.elements.length == pytest.approx([el_len] * 3, rel=1e-15)
         assert model.elements.wave_speed == pytest.approx([el_len * 2.0] * 3, rel=1e-15)
+
+    @pytest.mark.parametrize("mass,stiffness,length,message", [
+        (1e-300, 1e9, 1.0, r"eigenvalues of inv\(M\) K overflow double precision"),
+        (1.0, 1e300, 1e300, r"element wave speed .* overflows double precision"),
+    ])
+    def test_overflowing_wave_speed_is_a_range_error(self, mass, stiffness, length, message):
+        with pytest.raises(NumericalRangeError, match=message):
+            build_string_model(100, mass, stiffness, length, 99.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -295,25 +317,105 @@ class TestFullOrderModel:
     def test_rejects_inconsistent_element_scatter(self):
         model = build_string_model(3, element_mass=1.0, element_stiffness=1.0,
                                    length=1.0, boundary_factor=0.0)
-        with pytest.raises(ValueError):
-            FullOrderModel(m=3, mass=model.mass + 0.5, stiffness=model.stiffness,
-                           elements=model.elements)
+        for form in STIFFNESS_FORMS:
+            with pytest.raises(ValueError):
+                FullOrderModel(m=3, mass=model.mass + 0.5, stiffness=form(model.stiffness),
+                               elements=model.elements)
 
     def test_rejects_inconsistent_element_stiffness(self):
         # an element bound is conservative only for the stiffness the elements
         # sum to; here the stored stiffness is four times that sum
         model = build_string_model(3, element_mass=1.0, element_stiffness=1.0,
                                    length=1.0, boundary_factor=0.0)
-        with pytest.raises(ValueError, match="stored stiffness differs"):
-            FullOrderModel(m=3, mass=model.mass, stiffness=4.0 * model.stiffness,
-                           elements=model.elements)
-        nudged = model.stiffness * (1.0 + 1e-14)  # within the 1e-12 tolerance
-        FullOrderModel(m=3, mass=model.mass, stiffness=nudged, elements=model.elements)
+        spread = model.stiffness.copy()  # an entry off the elements' pattern
+        spread[0, 2] = spread[2, 0] = -1e-3
+        for form in STIFFNESS_FORMS:
+            for stiffness in (4.0 * model.stiffness, spread):
+                with pytest.raises(ValueError, match="stored stiffness differs"):
+                    FullOrderModel(m=3, mass=model.mass, stiffness=form(stiffness),
+                                   elements=model.elements)
+            nudged = model.stiffness * (1.0 + 1e-14)  # within the 1e-12 tolerance
+            FullOrderModel(m=3, mass=model.mass, stiffness=form(nudged), elements=model.elements)
+
+    @pytest.mark.parametrize("form", STIFFNESS_FORMS)
+    @pytest.mark.parametrize("entry,message", [
+        ((0, 1, 0.5), "stiffness is not exactly symmetric; run symmetrize"),
+        ((1, 1, np.nan), "stiffness contains non-finite entries"),
+        ((0, 2, np.inf), "stiffness contains non-finite entries"),
+    ])
+    def test_rejects_asymmetric_or_non_finite_stiffness(self, form, entry, message):
+        stiffness = 2.0 * np.eye(3)
+        stiffness[entry[:2]] = entry[2]
+        with pytest.raises(ValueError, match=message):
+            FullOrderModel(m=3, mass=np.ones(3), stiffness=form(stiffness))
+
+    def test_rejects_non_square_or_mismatched_stiffness(self):
+        with pytest.raises(ValueError, match=r"stiffness must be square, got shape \(2, 3\)"):
+            FullOrderModel(m=2, mass=np.ones(2), stiffness=np.ones((2, 3)))
+        for form in STIFFNESS_FORMS:
+            with pytest.raises(ValueError, match=r"shapes \(3,\)/\(2, 2\) do not match order 3"):
+                FullOrderModel(m=3, mass=np.ones(3), stiffness=form(np.eye(2)))
 
     def test_rejects_indefinite_stiffness(self):
         k = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues {3, -1}
-        with pytest.raises(ValueError):
-            FullOrderModel(m=2, mass=np.ones(2), stiffness=k)
+        for form in STIFFNESS_FORMS:
+            with pytest.raises(ValueError):
+                FullOrderModel(m=2, mass=np.ones(2), stiffness=form(k))
+
+    @pytest.mark.parametrize("form", STIFFNESS_FORMS)
+    @pytest.mark.parametrize("shift", [0.0, 1e-12, 1e-9])
+    def test_tridiagonal_psd_check_matches_the_dense_one(self, form, shift, monkeypatch):
+        # an element-free free-free chain of order 600, shifted by -shift * its top
+        # eigenvalue: the Sturm count certifies the first two (-1e-12 is inside the
+        # 1e-10 tolerance) without the dense eigensolve, and the third fails as it did
+        m = _SPARSE_MIN_M + 88
+        k = np.diag(np.r_[1.0, np.full(m - 2, 2.0), 1.0]) - np.eye(m, k=1) - np.eye(m, k=-1)
+        k -= shift * 4.0 * np.eye(m)
+        stiffness = form(k)
+        if shift < 1e-10:
+            monkeypatch.setattr(np.linalg, "eigvalsh", None)  # any dense solve fails
+            model = FullOrderModel(m=m, mass=np.ones(m), stiffness=stiffness)
+            assert "_dense_stiffness" not in model.__dict__
+        else:
+            with pytest.raises(ValueError, match="stiffness is not positive semi-definite"):
+                FullOrderModel(m=m, mass=np.ones(m), stiffness=stiffness)
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda op: op.indptr.__setitem__(1, 1), "indptr does not match its rows"),
+        (lambda op: (op.indices.__setitem__(1, 0), op.stiffness.__setitem__(1, 0.0)),
+         "each once, in row-major order"),
+        (lambda op: op.indices.__setitem__(slice(2, 4), [1, 0]), "each once, in row-major order"),
+        (lambda op: op.indices.__setitem__(0, 3), "inside order 3"),
+    ])
+    def test_rejects_a_malformed_row_sparse_stiffness(self, change, message):
+        # entries (0, 0) (0, 1) | (1, 0) (1, 1) (1, 2) | (2, 1) (2, 2); the changes are a
+        # wrong indptr, a repeated (0, 0), entries out of order, a column outside the order
+        k = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+        op = RowSparse.from_dense(k)
+        change(op)
+        with pytest.raises(ValueError, match=message):
+            FullOrderModel(m=3, mass=np.ones(3), stiffness=op)
+
+    def test_rejects_a_row_sparse_stiffness_without_its_diagonal(self):
+        k = np.array([[2.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        op = RowSparse.from_dense(k)
+        keep = np.flatnonzero((op.row != 1) | (op.indices != 1))
+        row, col = op.row[keep], op.indices[keep]
+        gapped = RowSparse(np.searchsorted(row, np.arange(4)), row, col, op.stiffness[keep])
+        with pytest.raises(ValueError, match="must store every diagonal entry"):
+            FullOrderModel(m=3, mass=np.ones(3), stiffness=gapped)
+        with pytest.raises(ValueError, match="integer indptr, row and indices"):
+            FullOrderModel(m=3, mass=np.ones(3),
+                           stiffness=RowSparse(op.indptr, op.row * 1.0, op.indices, op.stiffness))
+
+    def test_small_reductions_reuse_the_kept_dense_stiffness(self, monkeypatch):
+        model = build_string_model(40, 1.0, 10.0, 1.0, 99.0, a2=1e-3)
+        dense = model.stiffness
+        monkeypatch.setattr(RowSparse, "toarray", None)  # no second dense K
+        basis = modal_basis(model, range(4))
+        galerkin_reduce(model, basis)
+        verify_rom_dt_dominance(model, basis)
+        assert model.stiffness is dense
 
     def test_rejects_negative_damping_coefficients(self):
         with pytest.raises(ValueError):
@@ -402,6 +504,13 @@ class TestModelFile:
         assert i <= j
         doc["stiffness_coo"][1] = [j + 1, i, v] if i == j else [j, i, v]
         with pytest.raises(FormatError):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_coo_value_is_format_error(self, value):
+        doc = model_to_dict(self._model())
+        doc["stiffness_coo"][1][2] = value
+        with pytest.raises(FormatError, match="stiffness contains non-finite entries"):
             model_from_dict(doc)
 
     def test_duplicate_entry_rejected(self):
