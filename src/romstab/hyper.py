@@ -226,7 +226,7 @@ def _sampled_blocks(model, basis, samples):
         raise ValueError(f"basis has {basis.m} rows for model order {model.m}")
     rows = np.asarray(samples.collocation, dtype=int)
     op = model.operator
-    return rows, v[rows], op.rows_times(op.damping, v, rows), op.rows_times(op.stiffness, v, rows)
+    return rows, v[rows], *op.rows_times((op.damping, op.stiffness), v, rows)
 
 
 def _require_full_rank(a, what, pinv=False):

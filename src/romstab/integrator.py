@@ -15,11 +15,13 @@ through its sparse force.  A square :class:`~romstab.reduction.ReducedModel`
 ``z = [x; sampled-row velocities]``, where ``A`` is the
 :func:`~romstab.hyper.sampled_step_matrix` that the stable step comes from.
 :func:`integrate` runs the same arithmetic in blocks of steps: it looks the
-load up once per block, each row bit-identical to the scalar lookup, fills a
-preallocated block buffer with the states, and tests divergence and takes
-the records in one pass over the filled block, discarding the steps that the
-block ran past a divergence.  So on every model its records, divergence flag
-and divergence step are bit-identical to a loop of public steps.
+load up once per block, with one :meth:`~romstab.models.ForceTable.at` call on
+an array of the block's times (each row bit-identical to the scalar lookup),
+so that a matrix-stepped step is one ``A.dot(z, out=...)`` and one add into a
+preallocated block buffer; it then tests divergence and takes the records in
+one pass over the filled block, discarding the steps that the block ran past
+a divergence.  So on every model its records, divergence flag and divergence
+step are bit-identical to a loop of public steps.
 """
 
 from __future__ import annotations
@@ -141,12 +143,15 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
     finite ``x0`` always gives a finite limit.
 
     Steps fill a block buffer of ``[x; velocity]`` rows, at most ``_BLOCK``
-    and at most 256 KiB of them unless one row is larger, and one pass over
-    each filled block tests divergence and copies the records straight into
-    ``times``/``states`` arrays sized for the whole run (up to 128 MiB, doubled
-    past that) and cut at a divergence; steps that a block ran past a
-    divergence are discarded.  So the records, the flag and the divergence
-    step equal those of a loop of public steps.
+    and at most 256 KiB of them unless one row is larger.  A matrix-stepped
+    model looks its loads up once per block, with one ``load.at`` call on the
+    block's times, and each of its steps is then one ``A.dot(z, out=...)``
+    and one add.  One pass over each filled block tests divergence and
+    copies the records straight into ``times``/``states`` arrays sized for
+    the whole run (up to 128 MiB, doubled past that) and cut at a
+    divergence; steps that a block ran past a divergence are discarded.  So
+    the records, the flag and the divergence step equal those of a loop of
+    public steps.
 
     Returns a :class:`Trajectory`; divergence is reported on the
     trajectory, not raised.  More than 1e9 steps is a ``ValueError``.
@@ -175,9 +180,10 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
         raise ValueError(f"initial state shapes {x0.shape}/{v0.shape} do not match "
                          f"model dimension {model.dim}")
 
-    matrix = load = None
+    dot = load = None
     if isinstance(model, MatrixStepped):
         matrix, load = model.step_operator(dt)
+        dot = matrix.dot  # np.dot's BLAS call, bound once
     sampled, k = isinstance(model, SampledModel), model.dim
     z = np.concatenate((x0, model.row_basis @ v0 if sampled else v0))
     # row 0 holds the state before the block's first step, row j the state
@@ -185,6 +191,7 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
     buffer = np.empty((min(n_steps, _block_rows(z.size)) + 1, z.size))
     buffer[0] = z
     rows = list(buffer)
+    product = np.empty(z.size)
     limit = float(blowup) * max(1.0, _norm(x0))
     # norm(x) is sqrt(x.dot(x)) and a sum of the 2 dim squares of x and v, in any
     # order, is off by under 2 dim ulps, so a sum within ``bound`` proves the step
@@ -194,6 +201,7 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
     times = np.empty(min(total, max(1, _RECORD_FLOATS // k)))
     states = np.empty((times.size, k))
     times[0], states[0], count = 0.0, x0, 1
+    steps = np.full(len(rows), float(dt))  # times accumulate by t + dt, as public steps do
     t, n, divergence_step = 0.0, 0, None
 
     # steps past a divergence fill the rest of their block and are discarded,
@@ -201,22 +209,22 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
     with np.errstate(over="ignore", invalid="ignore"):
         while n < n_steps and divergence_step is None:
             size = min(len(rows) - 1, n_steps - n)
-            ts = np.full(size + 1, float(dt))  # times accumulate by t + dt,
-            ts[0] = t                          # as public steps do
-            ts = np.add.accumulate(ts)
-            if matrix is None:
+            steps[0] = t
+            ts = np.add.accumulate(steps[:size + 1])
+            if dot is None:
                 x, v_half = rows[0][:k], rows[0][k:]
                 for t_j, row in zip(ts.tolist(), rows[1:size + 1]):
                     x, v_half = _cd_advance(model, x, v_half, t_j, dt, row)
             elif load is None:  # operator_step's arithmetic, into the buffer
                 for src, dst in zip(rows, rows[1:size + 1]):
-                    np.dot(matrix, src, out=dst)
-            else:
-                for src, dst, b in zip(rows, rows[1:size + 1], load.at(ts[:-1])):
-                    np.dot(matrix, src, out=dst)
-                    dst += b
+                    dot(src, dst)
+            else:  # each row starts as its load b, and b + A z is A z + b bit for bit
+                buffer[1:size + 1] = load.at(ts[:-1])
+                for src, dst in zip(rows, rows[1:size + 1]):
+                    dot(src, product)
+                    dst += product
             xs, block = buffer[: size + 1, :k], buffer[1:size + 1]
-            vs = np.diff(xs, axis=0) / dt if sampled else block[:, k:]
+            vs = (xs[1:] - xs[:-1]) / dt if sampled else block[:, k:]
             parts = np.concatenate((xs[1:], vs), axis=1) if sampled else block
             squares = np.matmul(parts[:, None], parts[..., None])[:, 0, 0]  # row by row
             for i in (~(squares <= bound)).nonzero()[0].tolist():

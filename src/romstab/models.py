@@ -87,15 +87,30 @@ class ForceTable:
         return self.times.tolist()
 
     def at(self, t):
-        """Force vector at time ``t`` (clamped linear interpolation); a 1-D array
-        of times gives one row each, bit-identical to the scalar call."""
-        if isinstance(t, np.ndarray) and t.ndim:  # the scalar rule, elementwise
-            i = np.searchsorted(self.times, t, side="right") - 1
-            out = self.values[np.clip(i, 0, len(self.times) - 1)]
-            inside = (t > self.times[0]) & (t < self.times[-1])
-            i = i[inside]
-            w = ((t[inside] - self.times[i]) / (self.times[i + 1] - self.times[i]))[:, None]
-            out[inside] = (1.0 - w) * self.values[i] + w * self.values[i + 1]
+        """Force vector at time ``t`` (clamped linear interpolation).
+
+        A 1-D array of times gives one row each, bit-identical to the scalar
+        call: every row is interpolated on its segment, clipped to the first
+        and last, by the scalar formula, and the rows of times at or past an
+        end station are then overwritten with that station's row.  So a block
+        of times wholly inside the table pays no masked gather or scatter.
+        :func:`~romstab.integrator.integrate` looks a reduced model's loads up
+        this way, once per block of steps; a public step makes the scalar call.
+        """
+        if isinstance(t, np.ndarray) and t.ndim:
+            times, values = self.times, self.values
+            n = max(1, times.size - 1)  # segments; one of width 0 for one station
+            i = np.searchsorted(times[1:-1], t, side="right")  # the segment, clipped
+            with np.errstate(all="ignore"):  # rows past the ends, replaced below
+                start = times[:n][i]
+                w = ((t - start) / (times[-n:][i] - start))[:, None]
+                out = values[:n].take(i, axis=0)
+                out *= 1.0 - w
+                upper = values[-n:].take(i, axis=0)
+                upper *= w
+                out += upper
+            out[t <= times[0]] = values[0]
+            out[t >= times[-1]] = values[-1]
             return out
         times = self._stations
         if t <= times[0]:
@@ -272,9 +287,14 @@ class RowSparse:
         return np.arange(counts.sum()) + np.repeat(first - starts, counts), counts
 
     def rows_times(self, data, v, rows=None):
-        """Rows ``rows`` (default all) of ``A v``, ``A`` holding ``data``: a segment sum."""
+        """Rows ``rows`` (default all) of ``A v``, ``A`` holding ``data``: a segment sum.
+        A tuple of value arrays gives a tuple of products, from one gather of the
+        rows' nonzeros and of the basis rows they meet."""
         pos, counts = self.gather(np.arange(self.indptr.size - 1) if rows is None else rows)
-        return np.add.reduceat(data[pos, None] * v[self.indices[pos]], np.cumsum(counts) - counts)
+        starts, basis_rows = np.cumsum(counts) - counts, v[self.indices[pos]]
+        if isinstance(data, tuple):
+            return tuple(np.add.reduceat(d[pos, None] * basis_rows, starts) for d in data)
+        return np.add.reduceat(data[pos, None] * basis_rows, starts)
 
     def stiffness_times(self, v):
         """``K V`` for a basis ``V``: below order ``_SPARSE_MIN_M`` the dense product,

@@ -498,6 +498,39 @@ class TestIntegrateParity:
             traj = integrate(model, x0, np.zeros(model.dim), 700 * dt, dt, blowup=10.0)
         assert traj.divergence_flag
 
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("kind", ["galerkin", "projected-collocation",
+                                      "naive-collocation-p=k", "naive-collocation-p>k"])
+    def test_load_table_inside_the_run(self, systems, kind, record_every):
+        # the table starts after t = 0 and ends before t_end, so the first
+        # block mixes clamped and inside rows, the second inside and clamped
+        # rows, and the third is clamped throughout; both end rows hold -0.0
+        model = systems[kind]
+        dt = 0.9 * critical_dt_report(model).dt_crit
+        stations = dt * np.array([100.5, 180.0, 255.25, 300.0, 399.75])
+        values = np.random.default_rng(41).standard_normal((5, model.load.values.shape[1]))
+        values[[0, -1], 0] = -0.0
+        model = dataclasses.replace(model, load=ForceTable(stations, values))
+        x0 = 0.1 * np.linspace(-1.0, 1.0, model.dim)
+        v0 = np.linspace(0.5, -0.2, model.dim)
+        traj = self._compare(model, x0, v0, 700 * dt, dt, record_every=record_every)
+        assert not traj.divergence_flag
+
+    @pytest.mark.parametrize("kind", _KINDS[1:])
+    def test_loads_are_looked_up_once_per_block(self, monkeypatch, systems, kind):
+        model = systems[kind]
+        dt = 0.9 * critical_dt_report(model).dt_crit
+        probes, lookup = [], ForceTable.at
+
+        def recording(table, t):
+            probes.append(t)
+            return lookup(table, t)
+
+        monkeypatch.setattr(ForceTable, "at", recording)
+        integrate(model, np.zeros(model.dim), np.zeros(model.dim), 700 * dt, dt)
+        assert [type(t) for t in probes] == [np.ndarray] * 3
+        assert [t.shape for t in probes] == [(256,), (256,), (188,)]
+
 
 def _table_at(table, t):
     """Clamped linear interpolation by ``np.interp``, column by column."""

@@ -306,6 +306,28 @@ class TestStringModel:
             assert table.at(t).tobytes() == row.tobytes()
         assert table.at(probes[:0]).shape == (0, 5)
 
+        # signed zeros, also where the formula would give +0.0 at an end
+        # station, and magnitudes from 1e-300 to 1e300
+        values = rng.standard_normal((stations, 5)) * 10.0 ** rng.integers(-300, 301, (stations, 5))
+        values[:, 0], values[:, 1], values[::2, 2] = -0.0, 0.0, -0.0
+        ends = times[[0, -1]]
+        cases = [
+            np.sort(between),  # a block wholly inside the table
+            ends,
+            np.nextafter(ends, ends[::-1]),  # one ulp inside
+            rng.permutation(probes),
+            probes[3:4],
+            np.array([-1e300, 1e300, 1e300, -1e300]),
+        ]
+        for lookup in (table, ForceTable(times, values)):
+            for case in cases:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rows = lookup.at(case)
+                assert rows.shape == (case.size, 5)
+                for t, row in zip(case.tolist(), rows):
+                    assert lookup.at(t).tobytes() == row.tobytes()
+
 
 class TestFullOrderModel:
     def test_damping_matrix_structure(self):
