@@ -370,9 +370,8 @@ def _interpolation_reduce(model, basis, u, rows, provenance):
     rows, _, damping_rows, stiffness_rows = _sampled_blocks(model, basis, samples)
     pinv = _require_full_rank(u[rows], "sampled force basis P.T U", pinv=True)
     left = (basis.matrix.T @ u) @ pinv
-    mass_r, identity = galerkin_mass(model, basis)
     return ReducedModel(
-        mass=mass_r,
+        mass=galerkin_mass(model, basis),
         damping=left @ damping_rows,
         stiffness=left @ stiffness_rows,
         provenance=provenance,
@@ -380,7 +379,6 @@ def _interpolation_reduce(model, basis, u, rows, provenance):
         basis=basis,
         a1=model.a1,
         a2=model.a2,
-        mass_is_identity=identity,
         load=reduced_load_table(model.external_force, left, rows),
         samples=samples,
     )
@@ -508,7 +506,6 @@ def ecsw_reduce(model, weights, basis):
         basis=basis,
         a1=model.a1,
         a2=model.a2,
-        mass_is_identity=True,
         load=reduced_load_table(model.external_force, v.T),
     )
 

@@ -117,6 +117,8 @@ class ForceTable:
             return self.values[0].copy()
         if t >= times[-1]:
             return self.values[-1].copy()
+        if t != t:  # NaN, which no station bounds: the array path's NaN row
+            return self.at(np.array([t]))[0]
         i = bisect.bisect_right(times, t) - 1
         w = (t - times[i]) / (times[i + 1] - times[i])
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]

@@ -206,6 +206,7 @@ class ReducedModel(MatrixStepped):
 
     ``symmetric`` declares that damping and stiffness are symmetric up to
     round-off (Galerkin and ECSW); the flag is validated at construction.
+    A mass-orthonormal reduction stores ``mass`` as the exact identity.
     ``load`` is the external load table already mapped to reduced
     coordinates (one column per basis vector).
     """
@@ -218,7 +219,6 @@ class ReducedModel(MatrixStepped):
     basis: ReducedBasis
     a1: float = 0.0
     a2: float = 0.0
-    mass_is_identity: bool = False
     load: ForceTable | None = None
     samples: object | None = None
 
@@ -260,8 +260,7 @@ class ReducedModel(MatrixStepped):
     def _step_matrices(self, dt):
         """On ``z = [x; v_half]``: ``A = [[I - dt^2 Minv K, dt (I - dt Minv C)],
         [-dt Minv K, I - dt Minv C]]`` and ``B = [dt^2 Minv; dt Minv]``."""
-        eye = np.eye(self.dim)
-        minv = eye if self.mass_is_identity else self.mass_inverse
+        eye, minv = np.eye(self.dim), self.mass_inverse
         block_vx = -dt * (minv @ self.stiffness)
         block_vv = eye - dt * (minv @ self.damping)
         return (np.block([[eye + dt * block_vx, dt * block_vv], [block_vx, block_vv]]),
@@ -282,12 +281,12 @@ def reduced_load_table(force, left=None, rows=None):
 
 
 def galerkin_mass(model, basis):
-    """Reduced mass ``V.T M V`` and whether it is stored as the exact identity
-    (a mass-orthonormal basis)."""
+    """Reduced mass ``V.T M V``, stored as the exact identity for a
+    mass-orthonormal basis."""
     if basis.kind == MASS_ORTHONORMAL:
-        return np.eye(basis.k), True
+        return np.eye(basis.k)
     v = basis.matrix
-    return v.T @ (model.mass[:, None] * v), False
+    return v.T @ (model.mass[:, None] * v)
 
 
 def galerkin_reduce(model, basis):
@@ -304,10 +303,9 @@ def galerkin_reduce(model, basis):
         raise ValueError(
             f"basis has {basis.m} rows for a model of order {model.m}"
         )
-    mass_r, identity = galerkin_mass(model, basis)
     op = model.operator
     return ReducedModel(
-        mass=mass_r,
+        mass=galerkin_mass(model, basis),
         damping=v.T @ op.rows_times(op.damping, v),
         stiffness=v.T @ model.stiffness_times(v),
         provenance="galerkin",
@@ -315,7 +313,6 @@ def galerkin_reduce(model, basis):
         basis=basis,
         a1=model.a1,
         a2=model.a2,
-        mass_is_identity=identity,
         load=reduced_load_table(model.external_force, v.T),
     )
 

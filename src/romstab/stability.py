@@ -16,23 +16,22 @@ Model-level reports take the largest eigenvalue of ``inv(M) K``
 apply the modal formula.  Reduced models with nonsymmetric operators take
 their step from the central-difference one-step matrix: in closed form
 per eigenvalue of ``inv(M_r) K_r`` when the reduced damping is Rayleigh
-(:func:`_exact_steps`), by bisection on the dense matrix otherwise, and
-with ``stable`` false when no step is stable (:func:`critical_dt_report`).
+(:func:`_exact_steps`), by bisection on the radius of the matrix that
+:func:`~romstab.integrator.integrate` steps with otherwise, and with
+``stable`` false when no step is stable (:func:`critical_dt_report`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .hyper import SampledModel, sampled_step_matrix
-from .integrator import amplification_matrix
+from .hyper import SampledModel
 from .kernels import spectral_radius, symmetrize
 from .models import FullOrderModel
-from .reduction import MASS_ORTHONORMAL, ReducedModel
+from .reduction import MASS_ORTHONORMAL, ReducedModel, galerkin_reduce
 
 __all__ = [
     "StabilityReport",
@@ -242,20 +241,16 @@ class DominanceCheck:
 def verify_rom_dt_dominance(model, basis):
     """A mass-orthonormal Galerkin reduction never shrinks the stable step.
 
-    Compares the critical step of the full model with that of the
-    projected one (same Rayleigh coefficients); ``ok`` tolerates a
-    relative slack of 1e-10.
+    Compares :func:`critical_dt_report` of the full model with that of
+    its :func:`~romstab.reduction.galerkin_reduce` onto ``basis``; ``ok``
+    tolerates a relative slack of 1e-10.
     """
     if basis.kind != MASS_ORTHONORMAL:
         raise ValueError("dominance check requires a mass-orthonormal basis")
     if basis.m != model.m:
         raise ValueError(f"basis has {basis.m} rows for model order {model.m}")
-    mu_fom = model.max_eigenvalue()
-    v = basis.matrix
-    reduced = symmetrize(v.T @ model.stiffness_times(v))
-    mu_rom = float(np.linalg.eigvalsh(reduced)[-1])
-    dt_fom = critical_dt_system(mu_fom, model.a1, model.a2).dt_crit
-    dt_rom = critical_dt_system(max(mu_rom, 0.0), model.a1, model.a2).dt_crit
+    dt_fom = critical_dt_report(model).dt_crit
+    dt_rom = critical_dt_report(galerkin_reduce(model, basis)).dt_crit
     return DominanceCheck(
         ok=dt_rom >= dt_fom * (1.0 - 1e-10), dt_fom=dt_fom, dt_rom=dt_rom
     )
@@ -359,18 +354,16 @@ def _step_spectrum(model):
     is None; a sampled model's ``p - k`` further one-step eigenvalues
     equal 1 and limit no step.  Otherwise ``dense`` is ``(nu, radius_at)``:
     the eigenvalues of the first-order matrix ``[[0, I], [-inv(M_r) K_r,
-    -inv(M_r) C_r]]`` and the spectral radius of the dense one-step matrix
-    as a function of ``dt``.
+    -inv(M_r) C_r]]`` and the spectral radius of ``model._step_matrices(dt)[0]``,
+    the matrix ``integrate`` steps with, as a function of ``dt`` (probes leave
+    the cached ``step_operator`` alone).
     """
     if isinstance(model, SampledModel):
         left = model.row_basis_pinv / model.row_mass
         identity = model.row_basis_pinv @ model.row_basis
         decouples = np.max(np.abs(identity - np.eye(model.dim))) <= 1e-10
-        step_matrix = partial(sampled_step_matrix, model)
     else:
-        left = np.eye(model.dim) if model.mass_is_identity else model.mass_inverse
-        decouples = True
-        step_matrix = partial(amplification_matrix, model.mass, model.damping, model.stiffness)
+        left, decouples = model.mass_inverse, True
     operator = left @ model.stiffness
     if not (np.all(np.isfinite(operator)) and np.all(np.isfinite(model.damping))):
         raise ValueError("reduced operators contain non-finite entries")
@@ -380,7 +373,7 @@ def _step_spectrum(model):
     k = model.dim
     first_order = np.block([[np.zeros((k, k)), np.eye(k)], [-operator, -left @ model.damping]])
     return lam, (np.linalg.eigvals(first_order),
-                 lambda dt: spectral_radius(step_matrix(dt)).radius)
+                 lambda dt: spectral_radius(model._step_matrices(dt)[0]).radius)
 
 
 def critical_dt_report(model):
@@ -391,11 +384,11 @@ def critical_dt_report(model):
     eigenvalue is ``model.max_eigenvalue()``: dense ``eigvalsh``, or for a
     tridiagonal ``K`` with ``m >= 512`` the certified upper end of a Sturm
     bracket of relative width 1e-13, so the step is never above the exact one.
+    A symmetric reduced model's largest eigenvalue is that of the pencil
+    ``(K_r, M_r)``, whatever its mass.
     Nonsymmetric reduced operators (DEIM, GNAT, projected collocation) and the
-    naive-collocation
-    :class:`SampledModel` (one-step matrix :func:`sampled_step_matrix`)
-    have no modal decomposition; ``mu_max`` is then the largest
-    eigenvalue magnitude of ``inv(M_r) K_r``.
+    naive-collocation :class:`SampledModel` have no modal decomposition;
+    ``mu_max`` is then the largest eigenvalue magnitude of ``inv(M_r) K_r``.
 
     With Rayleigh reduced damping (``max |C_r - a1 M_r - a2 K_r|`` within
     1e-10 of ``max |C_r|``, and for a sampled model also
@@ -405,7 +398,7 @@ def critical_dt_report(model):
     hand-built damping) a first-order eigenvalue with real part above
     :data:`GROWTH_RTOL` of the largest magnitude means no stable step;
     without one, the step comes from bisection on the spectral radius of
-    the dense one-step matrix (``amplification-bisection``).  A report
+    ``step_operator(dt)``'s matrix (``amplification-bisection``).  A report
     with no stable step has ``stable`` false and names the eigenvalue:
     of those with no step the one of least real part, or the first-order
     one of largest real part.  A non-finite operator raises
@@ -417,13 +410,8 @@ def critical_dt_report(model):
         raise TypeError(f"cannot report on {type(model).__name__}")
     kind = "rom" if model.provenance == "galerkin" else "hrom"
     if isinstance(model, ReducedModel) and model.symmetric:
-        if model.mass_is_identity:
-            mu_max = float(np.linalg.eigvalsh(symmetrize(model.stiffness))[-1])
-        else:
-            mu_max = _generalized_mu_max(model.stiffness, model.mass)
-        return critical_dt_system(
-            max(mu_max, 0.0), model.a1, model.a2, model_kind=kind
-        )
+        mu_max = _generalized_mu_max(model.stiffness, model.mass)
+        return critical_dt_system(max(mu_max, 0.0), model.a1, model.a2, model_kind=kind)
 
     lam, dense = _step_spectrum(model)
     mu = float(np.max(np.abs(lam)))

@@ -26,7 +26,7 @@ from .hyper import (
     gnat_reduce,
     hrom_step,
 )
-from .integrator import IntegratorState, amplification_matrix, cd_step
+from .integrator import IntegratorState, cd_step
 from .kernels import (
     _SPARSE_MIN_M,
     gen_eig_diag_mass,
@@ -36,7 +36,7 @@ from .kernels import (
     symmetrize,
 )
 from .models import ElementSet, FullOrderModel, assemble, build_string_model
-from .reduction import ReducedBasis, galerkin_reduce, modal_basis
+from .reduction import ReducedBasis, ReducedModel, galerkin_reduce, modal_basis
 from .stability import (
     check_interlacing,
     critical_dt_at_frequency,
@@ -303,21 +303,19 @@ def _prop_sampled_mass_psd(rng, trials):
 
 
 def _prop_stability_boundary(rng, trials):
-    """At the predicted critical step the amplification radius sits on 1."""
+    """At the predicted critical step the one-step radius of a 1-DoF model sits on 1."""
     worst = 0.0
     failures = 0
+    basis = ReducedBasis(np.ones((1, 1)), "plain-orthonormal")
     for _ in range(trials):
         mu = float(10.0 ** rng.uniform(-2.0, 4.0))
         xi = float(rng.uniform(0.0, 3.0))
         dt = critical_dt_modal(mu, xi)
-        c = np.array([[2.0 * xi * np.sqrt(mu)]])
-        k = np.array([[mu]])
-        radius_at = spectral_radius(
-            amplification_matrix(np.array([1.0]), c, k, dt)
-        ).radius
-        radius_above = spectral_radius(
-            amplification_matrix(np.array([1.0]), c, k, 1.001 * dt)
-        ).radius
+        rom = ReducedModel(mass=np.eye(1), damping=[[2.0 * xi * np.sqrt(mu)]],
+                           stiffness=[[mu]], provenance="galerkin", symmetric=True,
+                           basis=basis)
+        radius_at = spectral_radius(rom._step_matrices(dt)[0]).radius
+        radius_above = spectral_radius(rom._step_matrices(1.001 * dt)[0]).radius
         dev = abs(radius_at - 1.0)
         worst = max(worst, dev)
         if dev > 1e-7 or radius_above <= 1.0:

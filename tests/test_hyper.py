@@ -280,7 +280,6 @@ class TestDeimReduce:
         expect_c = v.T @ projector @ model.damping @ v
         assert np.abs(hrom.stiffness - expect_k).max() < 1e-11
         assert np.abs(hrom.damping - expect_c).max() < 1e-11
-        assert hrom.mass_is_identity
         assert np.array_equal(hrom.mass, np.eye(3))
 
     def test_point_count_must_match_columns(self):

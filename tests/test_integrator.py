@@ -22,7 +22,6 @@ from romstab import (
     SampledModel,
     SampleSet,
     Trajectory,
-    amplification_matrix,
     build_string_model,
     cd_step,
     collocate_naive,
@@ -44,6 +43,8 @@ from romstab import (
 )
 from romstab import cli
 from romstab.integrator import _BLOCK, _block_rows
+
+from step_oracle import amplification_matrix
 
 
 def _reference_run(mass, damping, stiffness, x0, v0, dt, steps):

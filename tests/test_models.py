@@ -299,7 +299,8 @@ class TestStringModel:
         between = rng.uniform(times[0], times[-1], 50) if stations > 1 else []
         probes = np.concatenate([times, between, times[0] - rng.uniform(0.0, 2.0, 5),
                                  times[-1] + rng.uniform(0.0, 2.0, 5),
-                                 np.nextafter(times, -np.inf), np.nextafter(times, np.inf)])
+                                 np.nextafter(times, -np.inf), np.nextafter(times, np.inf),
+                                 [np.nan]])
         rows = table.at(probes)
         assert rows.shape == (probes.size, 5)
         for t, row in zip(probes.tolist(), rows):

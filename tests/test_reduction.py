@@ -153,7 +153,6 @@ class TestGalerkinReduce:
         rom = galerkin_reduce(model, ReducedBasis(v, MASS_ORTHONORMAL,
                                                   mass=model.mass))
         assert np.array_equal(rom.mass, np.eye(2))
-        assert rom.mass_is_identity
 
     def test_damping_coefficients_carried(self):
         rng = np.random.default_rng(39)

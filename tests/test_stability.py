@@ -14,7 +14,6 @@ from romstab import (
     ReducedBasis,
     SampleSet,
     StabilityReport,
-    amplification_matrix,
     build_string_model,
     check_interlacing,
     collocate_naive,
@@ -48,6 +47,8 @@ from romstab.reduction import snapshots_from_trajectory
 from romstab.stability import _bisect_critical_dt, _exact_steps, _step_spectrum
 from romstab.verify import (_random_chain, _random_mass_basis, _random_spd_pencil,
                             frozen_deim_instance, run_property)
+
+from step_oracle import amplification_matrix
 
 
 def _string(m=5, a1=0.0, a2=0.0, bf=99.0, K=10.0):
@@ -411,6 +412,23 @@ def _sampled_reduction(kind, a1=0.0):
     return gnat_reduce(model, basis, force_basis[:, :4], rows)
 
 
+def _hand_built_damping():
+    """A 3-DoF nonsymmetric reduced model whose damping is not Rayleigh."""
+    rng = np.random.default_rng(97)
+    basis = ReducedBasis(np.eye(6)[:, :3], "plain-orthonormal")
+    stiffness = np.diag([1.0, 4.0, 9.0]) + 0.1 * rng.standard_normal((3, 3))
+    return ReducedModel(
+        mass=np.eye(3),
+        damping=0.05 * np.abs(rng.standard_normal((3, 3))),
+        stiffness=stiffness,
+        provenance="deim",
+        symmetric=False,
+        basis=basis,
+        a1=0.0,
+        a2=0.01,
+    )
+
+
 def _dense_radius(model):
     if isinstance(model, SampledModel):
         return lambda dt: spectral_radius(sampled_step_matrix(model, dt)).radius
@@ -503,20 +521,7 @@ class TestDecoupledRadius:
         assert report.dt_crit == _dense_dt_crit(rom, float(np.max(np.abs(lam))))
 
     def test_hand_built_damping_takes_the_dense_path(self):
-        rng = np.random.default_rng(97)
-        basis = ReducedBasis(np.eye(6)[:, :3], "plain-orthonormal")
-        stiffness = np.diag([1.0, 4.0, 9.0]) + 0.1 * rng.standard_normal((3, 3))
-        rom = ReducedModel(
-            mass=np.eye(3),
-            damping=0.05 * np.abs(rng.standard_normal((3, 3))),
-            stiffness=stiffness,
-            provenance="deim",
-            symmetric=False,
-            basis=basis,
-            a1=0.0,
-            a2=0.01,
-            mass_is_identity=True,
-        )
+        rom = _hand_built_damping()
         lam, dense = _step_spectrum(rom)
         assert dense is not None
         report = critical_dt_report(rom)
@@ -558,7 +563,6 @@ def _planted(lams, a1=0.0, a2=0.0, mix=0.0, damping=None, seed=0):
         basis=ReducedBasis(np.eye(k + 1)[:, :k], "plain-orthonormal"),
         a1=a1,
         a2=a2,
-        mass_is_identity=True,
     )
 
 
@@ -777,6 +781,63 @@ class TestDensePath:
         report = critical_dt_report(rom)
         assert report.stable and report.to_dict().keys() == {
             "mu_max", "xi", "dt_crit", "method", "model_kind"}
+
+
+def _plain_galerkin():
+    """Galerkin on a plain-orthonormal basis: its reduced mass is not I."""
+    model = _string(12, a1=0.1, a2=1e-3)
+    v, _, _ = thin_svd(np.random.default_rng(98).standard_normal((12, 4)))
+    rom = galerkin_reduce(model, ReducedBasis(v, "plain-orthonormal"))
+    assert not np.array_equal(rom.mass, np.eye(4))
+    return rom
+
+
+ONE_STEP_CASES = {
+    "galerkin-plain": _plain_galerkin,
+    "projected": lambda: _sampled_reduction("projected"),
+    "deim-a1": lambda: _sampled_reduction("deim", a1=0.5),
+    "hand-built-damping": _hand_built_damping,
+}
+
+
+class TestOneStepMatrix:
+    """The report reads ``_step_matrices(dt)[0]``, the matrix ``integrate``
+    steps with; ``amplification_matrix`` on ``(x_n, x_{n-1})`` is its oracle."""
+
+    @pytest.mark.parametrize("case", ONE_STEP_CASES)
+    def test_step_matrix_radius_matches_the_oracle(self, case):
+        rom = ONE_STEP_CASES[case]()
+        dt_crit = critical_dt_report(rom).dt_crit
+        for factor in (0.5, 0.99, 1.01, 2.0):
+            dt = factor * dt_crit
+            ours = spectral_radius(rom._step_matrices(dt)[0]).radius
+            oracle = spectral_radius(
+                amplification_matrix(rom.mass, rom.damping, rom.stiffness, dt)).radius
+            assert ours == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["deim", "gnat"])
+    def test_dense_report_is_the_integrate_boundary(self, kind):
+        rom = _sampled_reduction(kind, a1=0.5)
+        report = critical_dt_report(rom)
+        assert report.method == "amplification-bisection"
+        k = rom.dim
+        for factor, diverges in ((0.99, False), (1.01, True)):
+            dt = factor * report.dt_crit
+            values, vectors = np.linalg.eig(rom.step_operator(dt)[0])
+            top = vectors[:, np.argmax(np.abs(values))]
+            top = (top * np.exp(-1j * np.angle(top[np.argmax(np.abs(top))]))).real
+            run = integrate(rom, top[:k], top[k:], 2000 * dt, dt)
+            assert run.divergence_flag is diverges
+
+    def test_non_identity_mass_is_read(self):
+        rom = ReducedModel(mass=4.0 * np.eye(2), damping=np.zeros((2, 2)),
+                           stiffness=np.diag([1.0, 4.0]), provenance="galerkin",
+                           symmetric=True, basis=ReducedBasis(np.eye(3)[:, :2],
+                                                              "plain-orthonormal"))
+        assert critical_dt_report(rom).dt_crit == 2.0
+        run = integrate(rom, np.ones(2), np.zeros(2), 2000 * 1.5, 1.5)
+        assert not run.divergence_flag
+        assert np.max(np.abs(run.states)) <= 2.0
 
 
 def _reductions(rng, model, k):
