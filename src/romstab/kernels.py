@@ -15,8 +15,9 @@ cost O(m) instead of LAPACK's O(m**3), on the same mass-normalized form:
 :func:`tridiagonal_max_bracket` brackets the largest eigenvalue by Sturm
 (inertia) counts, whose stated backward-error margin makes the upper end
 certified, and :func:`tridiagonal_lowest_modes` takes the lowest modes from
-shift-invert Lanczos, accepted only with round-off residuals and a count
-that proves no mode missed; :func:`tridiagonal_certifies_psd` certifies
+shift-invert Lanczos on one cyclic-reduction factor of ``T - sigma I`` (a solve
+is about log2(m) vectorized levels), accepted only with round-off residuals and a
+count that proves no mode missed; :func:`tridiagonal_certifies_psd` certifies
 semi-definiteness with one such count.  A model uses them from order
 ``_SPARSE_MIN_M`` up (``FullOrderModel.max_eigenvalue``, ``modes`` and its
 PSD check).
@@ -402,35 +403,51 @@ def tridiagonal_certifies_psd(diag, off, rtol):
     return int(_sturm_counts(a, b * b, np.array([shift]))[0]) == 0
 
 
-def _ldl(diag, off):
-    """The ``LDL^T`` factor of the tridiagonal of diagonal ``diag`` and off-diagonal ``off``
-    as ``(forward, backward, d)``: the subdiagonal of the unit ``L`` led by a 0, the same
-    reversed, and the pivots; None unless every pivot is positive (positive definite)."""
-    pivot = float(diag[0])
-    pivots, multipliers = [pivot], [0.0]
-    for ai, bi in zip(diag[1:].tolist(), off.tolist()):
-        if not pivot > 0.0:
+def _cyclic_factor(diag, off):
+    """Odd-even cyclic reduction of the tridiagonal of diagonal ``diag`` and off-diagonal
+    ``off``: Gaussian elimination on its red-black ordering (Buzbee, Golub and Nielson,
+    SIAM J. Numer. Anal. 7, 1970), as one ``(inverse, left, right)`` per level.  A level
+    eliminates its even unknowns (0, 2, ...), whose pivots are its even diagonal
+    entries, onto the odd ones, whose Schur complement is again tridiagonal and is the
+    next level, until none is left.  ``left[j]`` and ``right[j]`` couple odd unknown ``j`` to the even
+    unknowns ``j`` and ``j + 1``, scaled by their inverse pivots.  None unless every
+    pivot is positive (positive definite); then no pivoting is needed and the
+    elimination is backward stable."""
+    levels = []
+    d, e = diag, off
+    while d.size:
+        pivots, odd = d[0::2], d.size // 2
+        if not np.all(pivots > 0.0):
             return None
-        multipliers.append(bi / pivot)
-        pivot = ai - multipliers[-1] * bi
-        pivots.append(pivot)
-    if not pivot > 0.0:
-        return None
-    return multipliers, [0.0] + multipliers[:0:-1], np.array(pivots)
+        inverse = 1.0 / pivots
+        left, right = e[0::2] * inverse[:odd], e[1::2] * inverse[1:]
+        schur = d[1::2] - left * e[0::2]
+        schur[:right.size] -= right * e[1::2]
+        levels.append((inverse, left, right))
+        # neighbouring odd unknowns couple through the even one between them
+        d, e = schur, -(e[2::2] * right[:max(odd - 1, 0)])
+    return levels
 
 
-def _ldl_solve(factor, r):
-    """``x`` with ``L D L^T x = r`` for the factor of :func:`_ldl`: two scalar recurrences."""
-    forward, backward, pivots = factor
-    y, prev = [], 0.0
-    for ri, li in zip(r.tolist(), forward):
-        prev = ri - li * prev
-        y.append(prev)
-    x, prev = [], 0.0
-    for zi, li in zip(reversed((np.array(y) / pivots).tolist()), backward):
-        prev = zi - li * prev
-        x.append(prev)
-    return np.array(x[::-1])
+def _cyclic_solve(levels, r):
+    """``x`` with ``T x = r`` for the factor of :func:`_cyclic_factor`: the right-hand
+    side reduced level by level onto the odd unknowns, then the even unknowns of each
+    level recovered from the odd ones, a few slice operations a level."""
+    sides = []
+    for _, left, right in levels:
+        sides.append(r)
+        reduced = r[1::2] - left * r[0::2][:left.size]
+        reduced[:right.size] -= right * r[2::2]
+        r = reduced
+    x = r
+    for (inverse, left, right), r in zip(reversed(levels), reversed(sides)):
+        even = r[0::2] * inverse
+        even[:left.size] -= left * x
+        even[1:right.size + 1] -= right * x[:right.size]
+        full = np.empty(r.size)
+        full[0::2], full[1::2] = even, x
+        x = full
+    return x
 
 
 def tridiagonal_lowest_modes(diag, off, mass, count):
@@ -439,19 +456,20 @@ def tridiagonal_lowest_modes(diag, off, mass, count):
     O(m count**2) work; None when they are not certified (the dense path then decides).
 
     Shift-invert Lanczos with full reorthogonalization runs ``2 count + 22`` steps on
-    one ``LDL^T`` factor of ``T - sigma I``, ``T`` the form of :func:`_tridiagonal_form`
-    and ``sigma < 0``: minus 1/64 of the least of the shifts ``2**(1-j)`` times the
-    bound on ``|T|`` with more than ``count`` eigenvalues below, so a rigid (ungrounded)
-    chain factors and the wanted modes stay well apart after inversion.  A Rayleigh-Ritz
-    step with ``T`` ends it.  The result is accepted only when three things hold.  Every
-    wanted residual is within ``_RESIDUAL_TOL`` of the bound.  The wanted Ritz values and
-    the next lie more than ``2**20`` times ``reach`` apart, ``reach`` the Frobenius norm
-    of the wanted residuals (by Kahan's theorem each of those Ritz values lies that
-    close to its own eigenvalue) plus :func:`_count_margin`: so each mode is simple and
-    its vector within an angle of about ``2**-20`` (a repeated eigenvalue has no unique
-    mode, and dense ``eigh`` keeps choosing one).  And a Sturm count halfway between the
-    last wanted and the next Ritz value finds exactly ``count`` eigenvalues below it: so
-    no mode is missed.  Each vector's entry of largest magnitude is positive.
+    one cyclic-reduction factor of ``T - sigma I`` (:func:`_cyclic_factor`), ``T`` the
+    form of :func:`_tridiagonal_form` and ``sigma < 0``: minus 1/64 of the least of the
+    shifts ``2**(1-j)`` times the bound on ``|T|`` with more than ``count`` eigenvalues
+    below, so a rigid (ungrounded) chain factors and the wanted modes stay well apart
+    after inversion.  A Rayleigh-Ritz step with ``T`` ends it.  The result is accepted
+    only when three things hold.  Every wanted residual is within ``_RESIDUAL_TOL`` of
+    the bound.  The wanted Ritz values and the next lie more than ``2**20`` times
+    ``reach`` apart, ``reach`` the Frobenius norm of the wanted residuals (by Kahan's
+    theorem each of those Ritz values lies that close to its own eigenvalue) plus
+    :func:`_count_margin`: so each mode is simple and its vector within an angle of
+    about ``2**-20`` (a repeated eigenvalue has no unique mode, and dense ``eigh`` keeps
+    choosing one).  And a Sturm count halfway between the last wanted and the next Ritz
+    value finds exactly ``count`` eigenvalues below it: so no mode is missed.  Each
+    vector's entry of largest magnitude is positive.
     """
     a, b, exponent, bound = _tridiagonal_form(diag, off, mass)
     if not (np.isfinite(bound) and bound > 0.0 and 0 < count < a.size):
@@ -459,10 +477,10 @@ def tridiagonal_lowest_modes(diag, off, mass, count):
     m, b2 = a.size, b * b
     shifts = 2.0 * bound * 2.0 ** -np.arange(64.0)
     sigma = -np.min(shifts[_sturm_counts(a, b2, shifts) > count]) / 64.0
-    factor = _ldl(a - sigma, b)
+    factor = _cyclic_factor(a - sigma, b)
     if factor is None:
         return None
-    q = _lanczos(lambda v: _ldl_solve(factor, v), _start(m), min(m, 2 * count + 22))
+    q = _lanczos(lambda v: _cyclic_solve(factor, v), _start(m), min(m, 2 * count + 22))
     theta, y, residual = _ritz(a, b, q)
     if len(theta) <= count or not np.max(residual[:count]) <= _RESIDUAL_TOL * bound:
         return None

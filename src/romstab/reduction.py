@@ -248,7 +248,10 @@ class ReducedModel(MatrixStepped):
 
     @cached_property
     def mass_inverse(self):
-        """``inv(M_r)``, formed once (a singular mass raises ``ValueError``)."""
+        """``inv(M_r)``, formed once (a singular mass raises ``ValueError``).  A mass
+        equal to the identity, as a mass-orthonormal basis gives, is its own inverse."""
+        if np.array_equal(self.mass, np.eye(self.dim)):
+            return np.eye(self.dim)
         try:
             return np.linalg.inv(self.mass)
         except np.linalg.LinAlgError as exc:

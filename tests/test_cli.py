@@ -7,11 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from romstab import (PROPERTY_NAMES, build_string_model, read_basis, read_model,
-                     read_sample_set, write_model)
+from romstab import build_string_model, read_basis, read_model, read_sample_set, write_model
 from romstab import cli
 from romstab.cli import _resolve, build_parser, run
-from romstab.verify import frozen_deim_instance
+from romstab.verify import PROPERTY_NAMES, frozen_deim_instance
 
 
 def _out(capsys):

@@ -23,6 +23,7 @@ from romstab import (
     build_string_model,
     collocate_naive,
     collocate_projected,
+    critical_dt_report,
     deim_points,
     deim_reduce,
     ecsw_reduce,
@@ -351,6 +352,31 @@ class TestGnatReduce:
         u[1, 1] = 1.0
         with pytest.raises(RankDeficiencyError):
             gnat_reduce(model, basis, u, [0, 2, 3])  # rows miss column 2
+
+
+class TestIdentityMassInverse:
+    """A mass-orthonormal basis gives DEIM and GNAT the exact identity as reduced mass,
+    which ``mass_inverse`` returns without inverting it: their reports and one-step
+    matrices equal those built on ``np.linalg.inv`` of the mass bit for bit, as does
+    projected collocation's, whose mass is not the identity."""
+
+    @pytest.mark.parametrize("a1, a2", [(0.0, 1e-4), (0.05, 0.01)])
+    def test_reports_equal_those_on_the_inverted_mass(self, a1, a2):
+        model = _string(60, a1=a1, a2=a2)
+        rng = np.random.default_rng(73)
+        basis = modal_basis(model, range(10))
+        u, _ = np.linalg.qr(rng.standard_normal((60, 10)))
+        rows = sorted(rng.choice(60, 15, replace=False).tolist())
+        roms = [deim_reduce(model, basis, u, deim_points(u)),
+                gnat_reduce(model, basis, u, rows),
+                collocate_projected(model, basis, SampleSet.from_model(model, rows))]
+        assert [np.array_equal(rom.mass, np.eye(10)) for rom in roms] == [True, True, False]
+        for rom in roms:
+            inverted = dataclasses.replace(rom)
+            inverted.__dict__["mass_inverse"] = np.linalg.inv(rom.mass)
+            assert critical_dt_report(rom) == critical_dt_report(inverted)
+            for got, want in zip(rom._step_matrices(1e-3), inverted._step_matrices(1e-3)):
+                assert np.array_equal(got, want)
 
 
 class TestEcswTraining:

@@ -1,5 +1,7 @@
 """romstab runs on numpy alone: importing it, building a model and reporting
-its step load no scipy (whose import alone costs noticeable time and memory)."""
+its step load no scipy (whose import alone costs noticeable time and memory).
+Importing the package loads the library alone, not the property suite
+(``romstab.verify``) or the paper's reproduction (``romstab.reproduce``)."""
 
 import os
 import subprocess
@@ -11,6 +13,8 @@ SCRIPT = """
 import sys
 import romstab
 assert "scipy" not in sys.modules, "import romstab loaded scipy"
+for name in ("romstab.verify", "romstab.reproduce"):
+    assert name not in sys.modules, "import romstab loaded " + name
 from romstab.cli import run
 assert run(["build", "string", "--m", "20", "--M", "1", "--K", "10", "-o", sys.argv[1]]) == 0
 assert run(["timestep", sys.argv[1]]) == 0
