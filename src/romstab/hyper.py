@@ -534,10 +534,8 @@ def hrom_step(hrom, state, dt):
     :func:`sampled_step_matrix` to ``[x; v_rows]``.
     """
     _require_sampled(hrom, "hrom_step")
-    matrix, load = hrom.step_operator(dt)
     rows = hrom.row_basis @ state.v_half if state.row_v_half is None else state.row_v_half
-    z = operator_step(matrix, np.concatenate((state.x, rows)),
-                      None if load is None else load.at(state.t))
+    z = operator_step(hrom, (state.x, rows), state.t, dt)
     x = z[: hrom.dim]
     return replace(state, x=x, v_half=(x - state.x) / dt, t=state.t + dt,
                    n=state.n + 1, row_v_half=z[hrom.dim:])

@@ -10,17 +10,21 @@ stands in for the half-step history.
 providing ``dim``, ``mass_inverse_apply(f)`` and ``force_at(x, v_half, t)``)
 through its sparse force.  A square :class:`~romstab.reduction.ReducedModel`
 (:func:`cd_step`) and a naive-collocation :class:`~romstab.hyper.SampledModel`
-(:func:`~romstab.hyper.hrom_step`) step with their one-step matrix instead,
-``z <- A z + b(t)`` from ``step_operator(dt)``, on ``z = [x; v_half]`` and on
-``z = [x; sampled-row velocities]``, where ``A`` is the
-:func:`~romstab.hyper.sampled_step_matrix` that the stable step comes from.
-:func:`integrate` runs the same arithmetic in blocks of steps: it looks the
-load up once per block, with one :meth:`~romstab.models.ForceTable.at` call on
-an array of the block's times (each row bit-identical to the scalar lookup),
-so that a matrix-stepped step is one ``A.dot(z, out=...)`` and one add into a
-preallocated block buffer; it then tests divergence and takes the records in
-one pass over the filled block, discarding the steps that the block ran past
-a divergence.  So on every model its records, divergence flag and divergence
+(:func:`~romstab.hyper.hrom_step`) step with their one-step matrix ``A`` from
+``step_operator(dt)`` instead, on ``z = [x; v_half]`` and on
+``z = [x; sampled-row velocities]`` (there ``A`` is the
+:func:`~romstab.hyper.sampled_step_matrix` that the stable step comes from):
+``z <- A z``, and with a load table the one product
+``[A | b_s | b_{s+1}] [z; 1 - w; w]`` of :func:`~romstab.reduction.operator_step`,
+``b_s`` and ``b_{s+1}`` the mapped load rows at the ends of the segment that
+holds ``t`` and ``w`` its interpolation weight.  :func:`integrate` runs the
+same arithmetic in blocks of steps into a preallocated block buffer: one
+:meth:`~romstab.models.ForceTable.segments` call on the block's times gives
+each loaded row its weights, the two load rows of a segment go into the
+matrix at the step where it starts, and every matrix-stepped step is one
+``dot(z, out=...)``; it then tests divergence and takes the records in one
+pass over the filled block, discarding the steps that the block ran past a
+divergence.  So on every model its records, divergence flag and divergence
 step are bit-identical to a loop of public steps.
 """
 
@@ -33,7 +37,7 @@ import numpy as np
 
 from .errors import FormatError
 from .hyper import SampledModel
-from .reduction import MatrixStepped, ReducedModel, operator_step
+from .reduction import MatrixStepped, ReducedModel, _loaded_matrix, operator_step
 
 __all__ = [
     "IntegratorState",
@@ -123,9 +127,7 @@ def cd_step(model, state, dt):
     state so that the driver can flag divergence instead of crashing.
     """
     if isinstance(model, ReducedModel):
-        matrix, load = model.step_operator(dt)
-        z = operator_step(matrix, np.concatenate((state.x, state.v_half)),
-                          None if load is None else load.at(state.t))
+        z = operator_step(model, (state.x, state.v_half), state.t, dt)
         x, v_half = z[: model.dim], z[model.dim:]
     else:
         x, v_half = _cd_advance(model, state.x, state.v_half, state.t, dt, np.empty(2 * model.dim))
@@ -142,15 +144,19 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
     finite ``x0`` always gives a finite limit.
 
     Steps fill a block buffer of ``[x; velocity]`` rows, at most ``_BLOCK``
-    and at most 256 KiB of them unless one row is larger.  A matrix-stepped
-    model looks its loads up once per block, with one ``load.at`` call on the
-    block's times, and each of its steps is then one ``A.dot(z, out=...)``
-    and one add.  One pass over each filled block tests divergence and
-    copies the records straight into ``times``/``states`` arrays sized for
-    the whole run (up to 128 MiB, doubled past that) and cut at a
-    divergence; steps that a block ran past a divergence are discarded.  So
-    the records, the flag and the divergence step equal those of a loop of
-    public steps.
+    and at most 256 KiB of them unless one row is larger.  Each step of a
+    matrix-stepped model is one bound ``dot(row_j, out=row_{j+1})``.  With a
+    load, a row ends in its step's load weights ``[1 - w; w]``, filled for a
+    block from one ``load.segments`` call on its times, and the matrix is
+    a copy of the model's ``[A | b_s | b_{s+1}]``, whose last two columns are
+    set at each segment change; no load is looked up and none added.  So the
+    load adds one copy of two columns per segment change, and a table with a
+    station at every step pays it at every step.  One pass over each filled
+    block tests divergence and copies the records straight into
+    ``times``/``states`` arrays sized for the whole run (up to 128 MiB,
+    doubled past that) and cut at a divergence; steps that a block ran past
+    a divergence are discarded.  So the records, the flag and the divergence
+    step equal those of a loop of public steps.
 
     Returns a :class:`Trajectory`; divergence is reported on the
     trajectory, not raised.  More than 1e9 steps is a ``ValueError``.
@@ -179,18 +185,25 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
         raise ValueError(f"initial state shapes {x0.shape}/{v0.shape} do not match "
                          f"model dimension {model.dim}")
 
-    dot = load = None
+    dot = ends = None
     if isinstance(model, MatrixStepped):
-        matrix, load = model.step_operator(dt)
+        matrix, ends, _ = model._operator(dt)
+        if ends is not None:  # [A | b_s | b_{s+1}], the last two columns set per segment,
+            # apart from the model's, which other runs and public steps may be setting
+            matrix = _loaded_matrix(matrix, ends[0])
+            columns = matrix[:, -2:]
         dot = matrix.dot  # np.dot's BLAS call, bound once
     sampled, k = isinstance(model, SampledModel), model.dim
     z = np.concatenate((x0, model.row_basis @ v0 if sampled else v0))
+    d = z.size
     # row 0 holds the state before the block's first step, row j the state
-    # after its j-th: [x; v_half], or [x; sampled-row velocities]
-    buffer = np.empty((min(n_steps, _block_rows(z.size)) + 1, z.size))
-    buffer[0] = z
+    # after its j-th: [x; v_half], or [x; sampled-row velocities]; a loaded
+    # model's rows end in the weights [1 - w; w] of the load of their step
+    width = d if ends is None else d + 2
+    buffer = np.empty((min(n_steps, _block_rows(width)) + 1, width))
+    buffer[0, :d] = z
     rows = list(buffer)
-    product = np.empty(z.size)
+    heads = None if ends is None else list(buffer[:, :d])  # where a loaded step writes
     limit = float(blowup) * max(1.0, _norm(x0))
     # norm(x) is sqrt(x.dot(x)) and a sum of the 2 dim squares of x and v, in any
     # order, is off by under 2 dim ulps, so a sum within ``bound`` proves the step
@@ -214,15 +227,20 @@ def integrate(model, x0, v0, t_end, dt, record_every=1, blowup=1e6):
                 x, v_half = rows[0][:k], rows[0][k:]
                 for t_j, row in zip(ts.tolist(), rows[1:size + 1]):
                     x, v_half = _cd_advance(model, x, v_half, t_j, dt, row)
-            elif load is None:  # operator_step's arithmetic, into the buffer
+            elif ends is None:  # operator_step's arithmetic, into the buffer
                 for src, dst in zip(rows, rows[1:size + 1]):
                     dot(src, dst)
-            else:  # each row starts as its load b, and b + A z is A z + b bit for bit
-                buffer[1:size + 1] = load.at(ts[:-1])
-                for src, dst in zip(rows, rows[1:size + 1]):
-                    dot(src, product)
-                    dst += product
-            xs, block = buffer[: size + 1, :k], buffer[1:size + 1]
+            else:  # the same: the block's weights, and a segment's columns where it starts
+                s, w = model.load.segments(ts[:-1])
+                buffer[:size, d], buffer[:size, d + 1] = 1.0 - w, w
+                starts = [None] * size  # a segment's columns, at the step where it starts
+                for j in [0, *(np.flatnonzero(s[1:] != s[:-1]) + 1).tolist()]:
+                    starts[j] = ends[s[j]]
+                for src, dst, pair in zip(rows, heads[1:size + 1], starts):
+                    if pair is not None:
+                        columns[...] = pair
+                    dot(src, dst)
+            xs, block = buffer[: size + 1, :k], buffer[1:size + 1, :d]
             vs = (xs[1:] - xs[:-1]) / dt if sampled else block[:, k:]
             parts = np.concatenate((xs[1:], vs), axis=1) if sampled else block
             squares = np.matmul(parts[:, None], parts[..., None])[:, 0, 0]  # row by row

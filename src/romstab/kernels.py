@@ -180,6 +180,14 @@ def _pencil(stiffness, mass):
     return stiffness, mass
 
 
+def _generalized_mu_max(stiffness, mass):
+    """Largest eigenvalue of ``inv(Mr) Kr`` for SPD ``Mr`` (both symmetric)."""
+    chol = np.linalg.cholesky(symmetrize(mass))
+    half = np.linalg.solve(chol, symmetrize(stiffness))
+    sym = symmetrize(np.linalg.solve(chol, half.T).T)
+    return float(np.linalg.eigvalsh(sym)[-1])
+
+
 def _mass_scaling(diagonal, mass):
     """``(s, e)``, ``s = 2**(-e/2) M**-1/2``, so that ``2**e s_i K_ij s_j`` is the
     symmetric similarity ``M**-1/2 K M**-1/2`` of ``inv(M) K``, for one pencil or a
@@ -257,6 +265,7 @@ _LANCZOS_STEPS = 32  # steps of the Lanczos run that places the first Sturm coun
 _SHIFTS = 64  # shifts per multisection pass
 _RESIDUAL_TOL = 2.0**-46  # largest accepted mode residual, relative to the bound on |T|
 _BRACKET_RTOL = 1e-13  # relative width to which the multisection narrows the bracket
+_SIGN_RTOL = 2.0**-20  # relative: entries this close to a mode's largest magnitude tie
 
 
 def _tridiagonal_form(diag, off, mass):
@@ -299,6 +308,22 @@ def _sturm_counts(a, b2, shifts):
                 np.subtract(row, np.divide(beta2, previous, out=quotient), out=row)
             previous = row
     return np.count_nonzero(pivots < 0.0, axis=0)
+
+
+def _sturm_count(a, b2, x):
+    """:func:`_sturm_counts` for the one shift ``x``, as a loop over Python floats: the same
+    pivots bit for bit, a zero one giving ``-/+inf`` as IEEE division by ``+/-0`` would."""
+    pivot = a[0] - x
+    count = pivot < 0.0
+    for a_i, beta2 in zip(a[1:], b2):
+        if not beta2:
+            pivot = a_i - x
+        elif pivot:
+            pivot = (a_i - x) - beta2 / pivot
+        else:
+            pivot = (a_i - x) - math.copysign(math.inf, pivot)
+        count += pivot < 0.0
+    return int(count)
 
 
 def _count_margin(b):
@@ -400,7 +425,7 @@ def tridiagonal_certifies_psd(diag, off, rtol):
     if not np.isfinite(bound):
         return False
     shift = -rtol * float(np.max(np.abs(a))) + _count_margin(b)
-    return int(_sturm_counts(a, b * b, np.array([shift]))[0]) == 0
+    return _sturm_count(a.tolist(), (b * b).tolist(), shift) == 0
 
 
 def _cyclic_factor(diag, off):
@@ -469,7 +494,9 @@ def tridiagonal_lowest_modes(diag, off, mass, count):
     about ``2**-20`` (a repeated eigenvalue has no unique mode, and dense ``eigh`` keeps
     choosing one).  And a Sturm count halfway between the last wanted and the next Ritz
     value finds exactly ``count`` eigenvalues below it: so no mode is missed.  Each
-    vector's entry of largest magnitude is positive.
+    vector's first entry within ``_SIGN_RTOL`` of its largest magnitude is positive: a
+    mirror-symmetric model's mirrored entries are equal but for round-off (1e-13 to 1e-10
+    relative on strings), so the sign does not hang on which of them round-off makes larger.
     """
     a, b, exponent, bound = _tridiagonal_form(diag, off, mass)
     if not (np.isfinite(bound) and bound > 0.0 and 0 < count < a.size):
@@ -487,10 +514,12 @@ def tridiagonal_lowest_modes(diag, off, mass, count):
     split = 0.5 * (theta[count - 1] + theta[count])
     reach = float(np.sqrt(np.sum(residual[:count] ** 2))) + _count_margin(b)
     if not (np.min(np.diff(theta[:count + 1])) > 2.0**20 * reach
-            and _sturm_counts(a, b2, np.array([split]))[0] == count):
+            and _sturm_count(a.tolist(), b2.tolist(), float(split)) == count):
         return None
     vectors = y[:count].T
-    vectors *= np.sign(vectors[np.argmax(np.abs(vectors), axis=0), np.arange(count)])
+    magnitudes = np.abs(vectors)
+    lead = np.argmax(magnitudes >= (1.0 - _SIGN_RTOL) * np.max(magnitudes, axis=0), axis=0)
+    vectors *= np.sign(vectors[lead, np.arange(count)])
     return EigenPairs(_scaled_back(theta[:count], exponent), vectors)
 
 

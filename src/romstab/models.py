@@ -86,42 +86,56 @@ class ForceTable:
         # a list of floats: bisect on it is cheaper than a numpy search per step
         return self.times.tolist()
 
-    def at(self, t):
-        """Force vector at time ``t`` (clamped linear interpolation).
+    @cached_property
+    def _edges(self):
+        # the times with the first and the last doubled: entries s and s + 1 bound segment s
+        return np.concatenate((self.times[:1], self.times, self.times[-1:]))
 
-        A 1-D array of times gives one row each, bit-identical to the scalar
-        call: every row is interpolated on its segment, clipped to the first
-        and last, by the scalar formula, and the rows of times at or past an
-        end station are then overwritten with that station's row.  So a block
-        of times wholly inside the table pays no masked gather or scatter.
-        :func:`~romstab.integrator.integrate` looks a reduced model's loads up
-        this way, once per block of steps; a public step makes the scalar call.
+    def segments(self, t):
+        """``(s, w)`` for a time or a 1-D array of times: the load at ``t`` is
+        ``(1 - w) b_s + w b_{s+1}``, ``b_s`` and ``b_{s+1}`` the rows at the ends of
+        segment ``s``.
+
+        Between the first and the last station segment ``s`` runs from station ``s - 1``
+        to station ``s``: ``s`` is ``bisect_right(times, t)`` and ``w`` the weight
+        ``(t - times[s - 1]) / (times[s] - times[s - 1])``.  At or outside an end
+        station ``s`` is 0 or ``N`` (the station count), a segment whose two ends are
+        that end row, and ``w`` is ``+0.0``, so the load is that row exactly, signed
+        zeros too.  A NaN time gets segment 0 and a NaN weight.  A float time is
+        searched by ``bisect`` on floats, an array by one ``searchsorted``; both give
+        the same segments and weights, bit for bit.
         """
-        if isinstance(t, np.ndarray) and t.ndim:
-            times, values = self.times, self.values
-            n = max(1, times.size - 1)  # segments; one of width 0 for one station
-            i = np.searchsorted(times[1:-1], t, side="right")  # the segment, clipped
-            with np.errstate(all="ignore"):  # rows past the ends, replaced below
-                start = times[:n][i]
-                w = ((t - start) / (times[-n:][i] - start))[:, None]
-                out = values[:n].take(i, axis=0)
-                out *= 1.0 - w
-                upper = values[-n:].take(i, axis=0)
-                upper *= w
-                out += upper
-            out[t <= times[0]] = values[0]
-            out[t >= times[-1]] = values[-1]
-            return out
-        times = self._stations
-        if t <= times[0]:
-            return self.values[0].copy()
-        if t >= times[-1]:
-            return self.values[-1].copy()
-        if t != t:  # NaN, which no station bounds: the array path's NaN row
-            return self.at(np.array([t]))[0]
-        i = bisect.bisect_right(times, t) - 1
-        w = (t - times[i]) / (times[i + 1] - times[i])
-        return (1.0 - w) * self.values[i] + w * self.values[i + 1]
+        if not isinstance(t, np.ndarray):
+            times = self._stations
+            if t <= times[0]:
+                return 0, 0.0
+            if t >= times[-1]:
+                return len(times), 0.0
+            if t != t:
+                return 0, t
+            s = bisect.bisect_right(times, t)
+            return s, (t - times[s - 1]) / (times[s] - times[s - 1])
+        times, edges = self.times, self._edges
+        s = times.searchsorted(t, side="right") * (t > times[0])  # 0 at or before the first
+        start = edges[s]
+        with np.errstate(divide="ignore", invalid="ignore"):  # the end segments' 0 widths
+            w = (t - start) / (edges[s + 1] - start)
+        return s, np.where((t <= times[0]) | (t >= times[-1]), 0.0, w)
+
+    def at(self, t):
+        """Force vector at time ``t`` (clamped linear interpolation) on the
+        :meth:`segments` segment and weight.
+
+        :meth:`FullOrderModel.force_at` looks its loads up here; the steps of a
+        reduced model take theirs from the same segments and weights.
+        """
+        s, w = self.segments(t)
+        values = self.values
+        if w != w:  # NaN, which no station bounds
+            return np.full(values.shape[1], np.nan)
+        if s == 0 or s == len(values):
+            return values[min(s, len(values) - 1)].copy()
+        return (1.0 - w) * values[s - 1] + w * values[s]
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyper import SampledModel
-from .kernels import spectral_radius, symmetrize
+from .kernels import _generalized_mu_max, spectral_radius
 from .models import FullOrderModel
 from .reduction import MASS_ORTHONORMAL, ReducedModel, galerkin_reduce
 
@@ -259,14 +259,6 @@ def verify_rom_dt_dominance(model, basis):
 # ---------------------------------------------------------------------------
 # Model dispatch
 # ---------------------------------------------------------------------------
-
-
-def _generalized_mu_max(stiffness, mass):
-    """Largest eigenvalue of ``inv(Mr) Kr`` for SPD ``Mr`` (both symmetric)."""
-    chol = np.linalg.cholesky(symmetrize(mass))
-    half = np.linalg.solve(chol, symmetrize(stiffness))
-    sym = symmetrize(np.linalg.solve(chol, half.T).T)
-    return float(np.linalg.eigvalsh(sym)[-1])
 
 
 def _bisect_critical_dt(radius_at, guess):

@@ -4,7 +4,9 @@ Oracles: the scalar ``LDL^T`` recurrences (``ldl_oracle``) and dense
 ``np.linalg.solve``/``eigvalsh``.  Both solves are backward stable, so each
 residual is at round-off relative to ``|T| |x| + |r|``, and the two agree to
 within the condition number of ``T`` times round-off; an upper bound on that
-condition number comes from Sturm counts, apart from either solve.
+condition number comes from Sturm counts, apart from either solve.  The
+sign rule of the modes makes the two solves give a symmetric string the same
+signs.
 """
 
 import numpy as np
@@ -141,3 +143,18 @@ def test_factor_exactly_when_positive_definite():
         assert (_cyclic_factor(d, e) is not None) == definite
         seen.add(definite)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("m, count", [(512, 64), (600, 30), (1000, 20)])
+def test_mirror_symmetric_string_signs_do_not_hang_on_the_solve(monkeypatch, m, count):
+    # the mirrored entries of each mode are equal but for round-off, so the two
+    # solves' vectors differ in which of them is larger; both give one sign
+    model = build_string_model(m, 1.0, 10.0, 1.0, 99.0)
+    diag, off = _stiffness(model)
+    cyclic = kernels.tridiagonal_lowest_modes(diag, off, model.mass, count).vectors
+    monkeypatch.setattr(kernels, "_cyclic_factor", ldl)
+    monkeypatch.setattr(kernels, "_cyclic_solve", ldl_solve)
+    recurrences = kernels.tridiagonal_lowest_modes(diag, off, model.mass, count).vectors
+    assert np.max(np.abs(cyclic - recurrences)) <= 1e-9
+    antisymmetric = np.max(np.abs(cyclic + cyclic[::-1]), axis=0) <= 1e-9
+    assert np.count_nonzero(antisymmetric) == count // 2

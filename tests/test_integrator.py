@@ -8,6 +8,8 @@ cross-check.
 
 import dataclasses
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -519,18 +521,105 @@ class TestIntegrateParity:
 
     @pytest.mark.parametrize("kind", _KINDS[1:])
     def test_loads_are_looked_up_once_per_block(self, monkeypatch, systems, kind):
+        # one segment search per block fills the load weights; the load rows ride
+        # in the step matrix, so integrate makes no ForceTable.at call
         model = systems[kind]
         dt = 0.9 * critical_dt_report(model).dt_crit
-        probes, lookup = [], ForceTable.at
+        probes, search = [], ForceTable.segments
+
+        def lookup(table, t):
+            raise AssertionError("integrate looked a load up with ForceTable.at")
 
         def recording(table, t):
             probes.append(t)
-            return lookup(table, t)
+            return search(table, t)
 
-        monkeypatch.setattr(ForceTable, "at", recording)
+        monkeypatch.setattr(ForceTable, "at", lookup)
+        monkeypatch.setattr(ForceTable, "segments", recording)
         integrate(model, np.zeros(model.dim), np.zeros(model.dim), 700 * dt, dt)
         assert [type(t) for t in probes] == [np.ndarray] * 3
         assert [t.shape for t in probes] == [(256,), (256,), (188,)]
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("case", ["station-at-a-step", "segment-change-at-256",
+                                      "around-the-run", "before-the-run", "after-the-run",
+                                      "one-station", "a-station-every-step",
+                                      "four-stations-a-step", "unloaded"])
+    @pytest.mark.parametrize("kind", _KINDS[1:])
+    def test_loaded_steps(self, systems, kind, case, record_every):
+        # stations at the very times the steps take, a segment that changes at the
+        # first step of the second block, tables that the run starts or ends
+        # outside of or never enters, a constant one-station table, and recorded
+        # signals whose segment changes at every step
+        model = systems[kind]
+        dt = 0.9 * critical_dt_report(model).dt_crit
+        steps, t = 300, [0.0]
+        for _ in range(steps):
+            t.append(t[-1] + dt)  # the times of a loop of public steps
+        stations = {
+            "station-at-a-step": [t[1], t[50], t[123], t[200], t[300]],
+            "segment-change-at-256": [t[40], t[255], t[256], t[257], t[290]],
+            "around-the-run": dt * np.array([-40.0, -7.5, 120.25, 330.0, 1e4]),
+            "before-the-run": dt * np.array([-30.0, -20.0, -10.0]),
+            "after-the-run": dt * np.array([400.0, 500.0]),
+            "one-station": dt * np.array([150.5]),
+            "a-station-every-step": dt * (np.arange(steps + 1) + 0.3),
+            "four-stations-a-step": dt * np.linspace(-1.0, steps + 1.0, 4 * steps + 9),
+            "unloaded": None,
+        }[case]
+        load = None
+        if stations is not None:
+            rng = np.random.default_rng(43)
+            load = ForceTable(stations, rng.standard_normal((len(stations),
+                                                            model.load.values.shape[1])))
+        model = dataclasses.replace(model, load=load)
+        x0 = 0.1 * np.linspace(-1.0, 1.0, model.dim)
+        v0 = np.linspace(0.5, -0.2, model.dim)
+        traj = self._compare(model, x0, v0, steps * dt, dt, record_every=record_every)
+        assert len(traj.times) == 1 + -(-steps // record_every)
+        expected = _two_step_oracle(model, x0, v0, dt, steps)
+        assert np.linalg.norm(traj.states[-1] - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+class TestConcurrentLoadedSteps:
+    def test_threads_on_one_loaded_model_step_as_one_thread_does(self):
+        # a public step sets the load columns of the model's kept matrix and multiplies
+        # under one lock, and integrate steps on its own copy, so runs in threads keep
+        # the bits of one thread; the product is long enough (d = 400) for another
+        # thread to run while BLAS has the matrix, and the segment changes every step
+        base = build_string_model(400, 1.0, 10.0, 1.0, 99.0, a2=1e-4)
+        rom = galerkin_reduce(base, modal_basis(base, range(200)))
+        dt = 0.9 * critical_dt_report(rom).dt_crit
+        steps, rng = 100, np.random.default_rng(47)
+        load = ForceTable(dt * (np.arange(steps + 1) + 0.3), rng.standard_normal((steps + 1, 200)))
+        model = dataclasses.replace(rom, load=load)
+        starts, zero = [0.1 * rng.standard_normal(200) for _ in range(8)], np.zeros(200)
+
+        def run(i):
+            if i % 2:
+                traj = integrate(model, starts[i], zero, steps * dt, dt)
+                return traj.times, traj.states
+            return _stepped(model, starts[i], zero, steps * dt, dt)[:2]
+
+        expected, results = [run(i) for i in range(8)], [None] * 8
+
+        def work(i):
+            results[i] = run(i)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, expected):
+            assert got is not None
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def _table_at(table, t):
@@ -542,17 +631,19 @@ def _two_step_oracle(model, x0, v0, dt, steps):
     """Dense two-step recurrence ``x+ = 2 x - x- + dt^2 Minv (f - C (x - x-)/dt - K x)``,
     kept apart from the step operators: the full model with its dense
     matrices, a square reduction with ``inv(M_r)``, and naive collocation
-    with ``pinv(P.T V) diag(1 / m_rows)`` on the sampled row forces."""
+    with ``pinv(P.T V) diag(1 / m_rows)`` on the sampled row forces.  The load is
+    taken at the times the steps take, ``t + dt`` accumulated from 0."""
     if isinstance(model, FullOrderModel):
         minv, table = np.diag(1.0 / model.mass), model.external_force
     elif isinstance(model, SampledModel):
         minv, table = np.linalg.pinv(model.row_basis) / model.row_mass, model.load
     else:
         minv, table = np.linalg.inv(model.mass), model.load
-    x_prev, x = x0 - dt * v0, x0.copy()
-    for n in range(steps):
-        force = _table_at(table, n * dt) - model.damping @ ((x - x_prev) / dt) - model.stiffness @ x
-        x_prev, x = x, 2.0 * x - x_prev + dt * dt * (minv @ force)
+    x_prev, x, t = x0 - dt * v0, x0.copy(), 0.0
+    for _ in range(steps):
+        load = 0.0 if table is None else _table_at(table, t)
+        force = load - model.damping @ ((x - x_prev) / dt) - model.stiffness @ x
+        x_prev, x, t = x, 2.0 * x - x_prev + dt * dt * (minv @ force), t + dt
     return x
 
 

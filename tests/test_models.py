@@ -291,8 +291,19 @@ class TestStringModel:
                                boundary_factor=-0.5)
 
 
+    @staticmethod
+    def _segment_rows(table, t):
+        """The loads at the times ``t`` from :meth:`ForceTable.segments`' segments and
+        weights, on the rows with the first and the last doubled; each time's own
+        float search gives the same segment and weight bit for bit."""
+        s, w = table.segments(t)
+        for one, segment, weight in zip(t.tolist(), s.tolist(), w.tolist()):
+            assert repr(table.segments(one)) == repr((segment, weight))
+        rows, w = np.concatenate((table.values[:1], table.values, table.values[-1:])), w[:, None]
+        return (1.0 - w) * rows[s] + w * rows[s + 1]
+
     @pytest.mark.parametrize("stations", [1, 2, 7])
-    def test_vectorized_lookup_equals_scalar_lookup_bitwise(self, stations):
+    def test_segments_give_the_scalar_lookup_bitwise(self, stations):
         rng = np.random.default_rng(23 + stations)
         times = np.cumsum(rng.uniform(0.01, 1.0, stations))
         table = ForceTable(times, rng.standard_normal((stations, 5)))
@@ -301,11 +312,10 @@ class TestStringModel:
                                  times[-1] + rng.uniform(0.0, 2.0, 5),
                                  np.nextafter(times, -np.inf), np.nextafter(times, np.inf),
                                  [np.nan]])
-        rows = table.at(probes)
+        rows = self._segment_rows(table, probes)
         assert rows.shape == (probes.size, 5)
         for t, row in zip(probes.tolist(), rows):
             assert table.at(t).tobytes() == row.tobytes()
-        assert table.at(probes[:0]).shape == (0, 5)
 
         # signed zeros, also where the formula would give +0.0 at an end
         # station, and magnitudes from 1e-300 to 1e300
@@ -324,10 +334,25 @@ class TestStringModel:
             for case in cases:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    rows = lookup.at(case)
+                    rows = self._segment_rows(lookup, case)
                 assert rows.shape == (case.size, 5)
                 for t, row in zip(case.tolist(), rows):
                     assert lookup.at(t).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("stations", [1, 2, 7])
+    def test_segments_clamp_to_one_end_row_with_a_zero_weight(self, stations):
+        times = np.cumsum(np.random.default_rng(stations).uniform(0.01, 1.0, stations))
+        table = ForceTable(times, np.zeros((stations, 1)))
+        ends = np.concatenate((times[0] - [1e300, 1.0, 0.0], times[-1] + [0.0, 1.0, 1e300]))
+        s, w = table.segments(ends)
+        assert s.tolist() == np.where(ends <= times[0], 0, stations).tolist()
+        assert w.tolist() == [0.0] * 6 and not np.any(np.signbit(w))
+        inside = times[:-1] + 0.25 * np.diff(times)
+        s, w = table.segments(inside)
+        assert s.tolist() == list(range(1, stations))
+        assert np.allclose(w, 0.25, rtol=1e-12, atol=0.0)
+        s, w = table.segments(np.nan)
+        assert np.isnan(w)
 
 
 class TestFullOrderModel:

@@ -15,6 +15,8 @@ from romstab.errors import NumericalRangeError
 from romstab.kernels import (
     _SPARSE_MIN_M,
     _mass_normalized,
+    _sturm_count,
+    _sturm_counts,
     gen_eig_diag_mass,
     max_gen_eigenvalue,
     tridiagonal_lowest_modes,
@@ -79,6 +81,37 @@ def _twin_chain(half):
                           np.concatenate((one.mass, one.mass)))
     mass, stiffness = assemble(elements, 2 * half)
     return FullOrderModel(m=2 * half, mass=mass, stiffness=stiffness, elements=elements)
+
+
+def _one_shift_cases():
+    """``(a, b2, x)`` triples: random tridiagonals and shifts, exact zero pivots (also
+    one after another and at the first row), zero couplings (also right after a zero
+    pivot) and signed zeros in ``a - x``."""
+    rng = np.random.default_rng(19)
+    cases = []
+    for m in (1, 2, 3, 10, 1000):
+        for _ in range(10):
+            a, b = rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, m - 1)
+            cases.append((a, b * b, float(rng.uniform(-2.0, 2.0))))
+    # q_0 = 1, q_1 = 1 - 1/1 = 0, q_2 = -inf, q_3 = 1 - 1/-inf = 1, q_4 = 0, ...
+    ones = np.ones(30)
+    cases += [(ones, ones[:-1], 0.0), (ones, ones[:-1], -0.0)]
+    cases.append((np.array([0.5, 2.0, 3.0]), np.array([1.0, 1.0]), 0.5))  # q_0 = 0
+    cases.append((np.array([-0.0, 1.0, 2.0]), np.array([4.0, 1.0]), 0.0))  # q_0 = -0.0
+    couplings = ones[:-1].copy()
+    couplings[[1, 5, 6, 20]] = 0.0
+    cases += [(ones, couplings, 0.0), (ones, couplings, 1.0)]
+    signed = np.array([0.0, -0.0, 0.0, -0.0, 1.0, -0.0, 0.0])
+    for b2 in (np.ones(6), np.array([1.0, 0.0, 1.0, 0.0, 2.0, 1.0])):
+        cases += [(signed, b2, 0.0), (signed, b2, -0.0), (-signed, b2, 0.0)]
+    return cases
+
+
+@pytest.mark.parametrize("a, b2, x", _one_shift_cases())
+def test_one_shift_count_equals_the_numpy_pass(a, b2, x):
+    with np.errstate(divide="ignore", over="ignore"):
+        expected = _sturm_counts(a, b2, np.array([x]))[0]
+    assert _sturm_count(a.tolist(), b2.tolist(), x) == expected
 
 
 class TestMaxBracket:
@@ -210,8 +243,10 @@ class TestLowestModes:
         sine = np.linalg.norm(phi - dense.vectors[:, :k] @ (dense.vectors[:, :k].T @ phi), 2)
         if gap > 1e-6 * top:
             assert sine <= 2 * bound / gap
-        # deterministic sign: each mode's entry of largest magnitude is positive
-        assert np.all(phi[np.argmax(np.abs(phi), axis=0), np.arange(k)] > 0.0)
+        # deterministic sign: each mode's first entry within 2**-20 of its largest
+        # magnitude is positive
+        near_top = np.abs(phi) >= (1.0 - 2.0**-20) * np.max(np.abs(phi), axis=0)
+        assert np.all(phi[np.argmax(near_top, axis=0), np.arange(k)] > 0.0)
 
     def test_selected_modes(self, monkeypatch):
         model = _family("grounded", 600)
